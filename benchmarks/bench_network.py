@@ -1,8 +1,8 @@
 """Network analysis throughput: cut sets, SDP evaluation, placement.
 
 Times (a) full per-switch control-path analyses — structure lowering,
-complete minimal cut/path enumeration, and the Shannon-factored exact
-evaluator — over the reference ring and fat-tree graphs, (b) an
+complete minimal path enumeration with the cut sets derived from it as
+minimal hitting sets, and the Shannon-factored exact evaluator — over the reference ring and fat-tree graphs, (b) an
 exhaustive k=2 placement search over seven candidate sites on the backbone
 mesh, and (c) the sum-of-disjoint-products stack: factored vs SDP exact
 evaluation on the backbone (speedup floor: 10x), SDP-only exact

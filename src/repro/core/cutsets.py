@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.core.structure import StructureFunction
 from repro.errors import ModelError
@@ -57,6 +57,81 @@ def minimal_cut_sets(
             if not structure(state):
                 found.append(candidate)
     return found
+
+
+def minimal_cut_sets_from_paths(
+    path_sets: Iterable[Iterable[str]],
+    max_order: int | None = None,
+    names: Sequence[str] | None = None,
+) -> list[frozenset[str]]:
+    """All minimal cut sets of a coherent system, from its minimal path sets.
+
+    The minimal cut sets are exactly the minimal transversals (hitting
+    sets) of the minimal path sets.  A Berge pass builds them one path at
+    a time, with every element one bit of a Python int: a partial
+    transversal that already hits the next path is kept, and each one that
+    misses it is extended by every element of that path.  An extension can
+    only be non-minimal by containing a kept set, and such a kept set
+    meets the path in the added element alone, so only those are checked.
+    Dropping candidates above ``max_order`` is safe: every minimal
+    transversal of the whole family contains a no-larger minimal
+    transversal of each prefix.  The cost is one bitmask pass per path
+    instead of :func:`minimal_cut_sets`' 2^n structure probes.
+
+    Args:
+        path_sets: the complete family of minimal path sets.
+        max_order: optionally keep only cut sets of at most this size.
+        names: bit order for the elements; the result lists cut sets by
+            size, then lexicographically in this order, and builds each
+            set in this order (so it matches :func:`minimal_cut_sets` over
+            a structure function with the same names).  Defaults to the
+            sorted element names.
+    """
+    paths = [frozenset(path) for path in path_sets]
+    if not paths:
+        raise ModelError("system is down with all components up; no cut sets")
+    elements = frozenset().union(*paths)
+    if names is None:
+        names = sorted(elements)
+    bit_of = {name: 1 << index for index, name in enumerate(names)}
+    unknown = elements - bit_of.keys()
+    if unknown:
+        raise ModelError(f"path elements {sorted(unknown)} are not in names")
+    masks = [sum(bit_of[name] for name in path) for path in paths]
+    limit = len(bit_of) if max_order is None else max_order
+    transversals = [0] if limit > 0 else []
+    for mask in masks:
+        kept: list[int] = []
+        missed: list[int] = []
+        for t in transversals:
+            (kept if t & mask else missed).append(t)
+        if not missed:
+            continue
+        witnesses: dict[int, list[int]] = {}
+        for t in kept:
+            hit = t & mask
+            if hit & (hit - 1) == 0:
+                witnesses.setdefault(hit, []).append(t)
+        extended: set[int] = set()
+        for t in missed:
+            if t.bit_count() >= limit:
+                continue
+            rest = mask
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                candidate = t | bit
+                if candidate in extended:
+                    continue
+                if any(w & candidate == w for w in witnesses.get(bit, ())):
+                    continue
+                extended.add(candidate)
+        transversals = kept + list(extended)
+    ordered = sorted(
+        [i for i in range(t.bit_length()) if t >> i & 1] for t in transversals
+    )
+    ordered.sort(key=len)
+    return [frozenset(tuple(names[i] for i in indices)) for indices in ordered]
 
 
 def minimal_path_sets(

@@ -4,10 +4,13 @@ For one switch, the *control path* is up when some sequence of up links
 (each requiring both endpoints and its shared-risk group up) connects the
 switch to at least one up controller site.  This module lowers that
 predicate into a :class:`repro.core.structure.StructureFunction` over the
-graph's elements, so the whole existing cut-set toolchain applies
-unchanged: :func:`repro.core.cutsets.minimal_cut_sets` enumerates the
-node+link+SRG cut sets and :func:`~repro.core.cutsets.union_bound` gives
-the rare-event upper bound.
+graph's elements (the factored oracle and the test suite evaluate it
+directly).  The node+link+SRG minimal cut sets — the switch's dominant
+failure modes — are the minimal hitting sets of the cached minimal path
+sets below, derived by :func:`repro.core.cutsets.minimal_cut_sets_from_paths`
+(one bitmask pass per path, not a structure probe per element subset), and
+:func:`~repro.core.cutsets.union_bound` turns them into the rare-event
+upper bound.
 
 Exact ground truth has two evaluators:
 
@@ -48,7 +51,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from repro.core.cutsets import (
     RankedCutSet,
-    minimal_cut_sets,
+    minimal_cut_sets_from_paths,
     minimal_path_sets,
     rank_cut_sets,
     union_bound,
@@ -207,10 +210,32 @@ def control_path_cut_sets(
     Cut sets mix element types freely — ``{"S1"}`` (the switch itself),
     ``{"L1", "L2"}`` (a link pair), ``{"SRG-A"}`` (one conduit severing
     every path) — ranked most-probable first using the graph's per-element
-    unavailabilities.
+    unavailabilities.  Derived from the cached minimal path sets, exactly
+    as :func:`analyze_switch` does.
     """
-    structure = control_path_structure(graph, switch, sites)
-    cuts = minimal_cut_sets(structure, max_order=max_order)
+    resolved = _check_sites(graph, switch, sites)
+    names = control_path_structure(graph, switch, resolved).names
+    return _ranked_cut_sets(graph, switch, resolved, names, max_order)
+
+
+def _ranked_cut_sets(
+    graph: NetworkGraph,
+    switch: str,
+    sites: tuple[str, ...],
+    names: tuple[str, ...],
+    max_order: int | None,
+) -> list[RankedCutSet]:
+    """Ranked minimal hitting sets of the cached path sets.
+
+    Bit order follows the structure function's ``names``, so each product
+    multiplies in the order a :func:`~repro.core.cutsets.minimal_cut_sets`
+    census would.
+    """
+    cuts = minimal_cut_sets_from_paths(
+        _control_path_sets_cached(graph, switch, sites),
+        max_order=max_order,
+        names=names,
+    )
     return rank_cut_sets(cuts, graph.unavailability_map())
 
 
@@ -434,20 +459,22 @@ def analyze_switch(
 ) -> ControlPathAnalysis:
     """Full control-path analysis of one switch.
 
-    ``sites`` defaults to every controller site in the graph.  With
-    ``max_order=None`` the cut enumeration is complete and the bracket
+    ``sites`` defaults to every controller site in the graph.  The cut
+    sets, the path lower bound and the exact SDP value all come from one
+    cached graph path enumeration: the cut sets are its minimal hitting
+    sets (:func:`repro.core.cutsets.minimal_cut_sets_from_paths`, one
+    bitmask pass per path), and the lower bound costs one product per path.
+    With ``max_order=None`` the cut sets are complete and the bracket
     ``union_bound >= exact >= path_lower_bound`` is guaranteed; a bounded
-    order trades the path lower bound (recorded as ``None``) and the upper
-    bound guarantee for enumeration time on larger graphs.  The path lower
-    bound reuses the cached graph path enumeration the exact SDP evaluator
-    compiles from, so it costs one product per path, not a dual cut-set
-    search.
+    order keeps only the small cut sets and trades the path lower bound
+    (recorded as ``None``) and the upper-bound guarantee for time on larger
+    graphs.  A switch that cannot reach any site has no path sets and so
+    raises :class:`repro.errors.ModelError`.
     """
     resolved = _check_sites(graph, switch, sites)
     chosen = _resolve_evaluator(evaluator)
     structure = control_path_structure(graph, switch, resolved)
-    cuts = minimal_cut_sets(structure, max_order=max_order)
-    ranked = rank_cut_sets(cuts, graph.unavailability_map())
+    ranked = _ranked_cut_sets(graph, switch, resolved, structure.names, max_order)
     lower = (
         _paths_lower_bound(
             _control_path_sets_cached(graph, switch, resolved),

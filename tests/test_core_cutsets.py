@@ -6,6 +6,7 @@ from repro.core.blocks import Basic, KOfN
 from repro.core.cutsets import (
     exact_unavailability,
     minimal_cut_sets,
+    minimal_cut_sets_from_paths,
     minimal_path_sets,
     rank_cut_sets,
     union_bound,
@@ -51,6 +52,75 @@ class TestMinimalCutSets:
         dead = StructureFunction(("a",), lambda s: False)
         with pytest.raises(ModelError):
             minimal_cut_sets(dead)
+
+
+def bridge():
+    """Wheatstone bridge: s -a- x -c- t, s -b- y -d- t, and e joins x, y."""
+    return StructureFunction(
+        ("a", "b", "c", "d", "e"),
+        lambda s: (s["a"] and s["c"])
+        or (s["b"] and s["d"])
+        or (s["a"] and s["e"] and s["d"])
+        or (s["b"] and s["e"] and s["c"]),
+    )
+
+
+ORACLE_STRUCTURES = {
+    "series": sf(Basic("a", 0.9) & Basic("b", 0.9)),
+    "parallel": sf(Basic("a", 0.9) | Basic("b", 0.9)),
+    "two_of_three": sf(
+        KOfN(2, (Basic("a", 0.9), Basic("b", 0.9), Basic("c", 0.9)))
+    ),
+    "two_of_four": sf(KOfN(2, tuple(Basic(f"x{i}", 0.9) for i in range(4)))),
+    "series_parallel": sf(
+        Basic("a", 0.9) & (Basic("b", 0.9) | Basic("c", 0.9))
+    ),
+    "bridge": bridge(),
+}
+
+
+class TestCutSetsFromPaths:
+    @pytest.mark.parametrize("name", sorted(ORACLE_STRUCTURES))
+    @pytest.mark.parametrize("max_order", [None, -1, 0, 1, 2, 3])
+    def test_matches_structure_census(self, name, max_order):
+        structure = ORACLE_STRUCTURES[name]
+        expected = minimal_cut_sets(structure, max_order=max_order)
+        derived = minimal_cut_sets_from_paths(
+            minimal_path_sets(structure),
+            max_order=max_order,
+            names=structure.names,
+        )
+        # Same sets in the same (size, then name-order) sequence.
+        assert derived == expected
+        assert set(
+            minimal_cut_sets_from_paths(
+                minimal_path_sets(structure), max_order=max_order
+            )
+        ) == set(expected)
+
+    def test_bridge_cuts(self):
+        cuts = minimal_cut_sets_from_paths(minimal_path_sets(bridge()))
+        assert set(cuts) == {
+            frozenset("ab"),
+            frozenset("cd"),
+            frozenset("ade"),
+            frozenset("bce"),
+        }
+
+    def test_non_minimal_paths_are_harmless(self):
+        # A superset path adds no constraint beyond its subset.
+        cuts = minimal_cut_sets_from_paths([{"a"}, {"a", "b"}, {"c"}])
+        assert cuts == [frozenset({"a", "c"})]
+
+    def test_empty_family_is_a_down_system(self):
+        with pytest.raises(ModelError, match="no cut sets"):
+            minimal_cut_sets_from_paths([])
+        with pytest.raises(ModelError, match="no cut sets"):
+            minimal_cut_sets_from_paths([], max_order=0)
+
+    def test_unknown_element_rejected(self):
+        with pytest.raises(ModelError, match="not in names"):
+            minimal_cut_sets_from_paths([{"a", "z"}], names=("a",))
 
 
 class TestMinimalPathSets:

@@ -9,6 +9,8 @@ availabilities, optional shared-risk group) and requires:
 
 * the bracket ``union_bound >= exact >= path_lower_bound`` on every fully
   enumerated graph;
+* cut sets derived from the cached path sets equal to the brute-force
+  structure-function census at every cut-order bound;
 * 1e-12 agreement between the SDP and factored evaluators, between
   factored evaluation and brute-force enumeration, and 1e-9 agreement
   with cut-set inclusion-exclusion;
@@ -29,9 +31,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core.cutsets import exact_unavailability
+from repro.core.cutsets import exact_unavailability, minimal_cut_sets
 from repro.core.structure import factored_unavailability
-from repro.errors import NetworkError
+from repro.errors import ModelError, NetworkError
 from repro.network import (
     NetworkGraph,
     NetworkLink,
@@ -42,6 +44,7 @@ from repro.network import (
     optimize_placement,
 )
 from repro.network.paths import (
+    control_path_cut_sets,
     control_path_structure,
     exact_control_path_unavailability,
 )
@@ -188,6 +191,81 @@ class TestEvaluatorAgreement:
         assert bounded.unavailability == complete.unavailability
 
 
+def _census(graph, switch, max_order):
+    """The brute-force cut sets: a structure probe per element subset."""
+    structure = control_path_structure(graph, switch)
+    return set(minimal_cut_sets(structure, max_order=max_order))
+
+
+def _srg_merged_diamond():
+    """Two routes S1 -> CTRL whose links all ride one SRG."""
+    return NetworkGraph(
+        name="merged",
+        nodes=(
+            NetworkNode("CTRL", kind="site", availability=0.99),
+            NetworkNode("R1", availability=0.9),
+            NetworkNode("R2", availability=0.95),
+            NetworkNode("S1", availability=0.999),
+        ),
+        links=tuple(
+            NetworkLink(name, a, b, availability=0.97, srg="G")
+            for name, a, b in (
+                ("L0", "S1", "R1"),
+                ("L1", "R1", "CTRL"),
+                ("L2", "S1", "R2"),
+                ("L3", "R2", "CTRL"),
+                ("L4", "R1", "R2"),
+            )
+        ),
+        srgs=(SharedRiskGroup("G", availability=0.98),),
+    )
+
+
+class TestCutSetsFromPaths:
+    """Path-derived cut sets against the structure-function census."""
+
+    @given(graph=connected_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_census_at_every_order(self, graph):
+        switch = graph.switches[-1]
+        for max_order in (None, -1, 0, 1, 2, 3):
+            expected = _census(graph, switch, max_order)
+            derived = control_path_cut_sets(graph, switch, max_order=max_order)
+            assert {cut.components for cut in derived} == expected, max_order
+            analysis = analyze_switch(graph, switch, max_order=max_order)
+            assert analysis.cut_sets == tuple(derived)
+            if max_order is not None and max_order <= 0:
+                assert analysis.cut_sets == ()
+
+    def test_srg_merged_routes_match_census(self):
+        graph = _srg_merged_diamond()
+        for max_order in (None, 1, 2):
+            derived = control_path_cut_sets(graph, "S1", max_order=max_order)
+            assert {cut.components for cut in derived} == _census(
+                graph, "S1", max_order
+            )
+        analysis = analyze_switch(graph, "S1")
+        assert {cut.components for cut in analysis.cut_sets} >= {
+            frozenset({"S1"}),
+            frozenset({"CTRL"}),
+            frozenset({"G"}),
+        }
+        assert analysis.union_bound >= analysis.unavailability
+
+
+def _split_graph():
+    """S1 and S2 share a link, but neither reaches the controller site."""
+    return NetworkGraph(
+        name="split",
+        nodes=(
+            NetworkNode("CTRL", kind="site"),
+            NetworkNode("S1"),
+            NetworkNode("S2"),
+        ),
+        links=(NetworkLink("L0", "S1", "S2"),),
+    )
+
+
 class TestPerfectAvailabilityDegeneracy:
     def test_perfect_elements_give_zero_unavailability(self):
         graph = NetworkGraph(
@@ -203,16 +281,18 @@ class TestPerfectAvailabilityDegeneracy:
         assert analysis.path_lower_bound == 0.0
 
     def test_unreachable_switch_is_fully_unavailable(self):
-        graph = NetworkGraph(
-            name="split",
-            nodes=(
-                NetworkNode("CTRL", kind="site"),
-                NetworkNode("S1"),
-                NetworkNode("S2"),
-            ),
-            links=(NetworkLink("L0", "S1", "S2"),),
-        )
+        graph = _split_graph()
         assert exact_control_path_unavailability(graph, "S1") == 1.0
+
+    def test_unreachable_switch_has_no_cut_sets(self):
+        """Analysis refuses a switch with no path, at any cut-order bound."""
+        graph = _split_graph()
+        message = "system is down with all components up; no cut sets"
+        for max_order in (None, 0, 2):
+            with pytest.raises(ModelError, match=message):
+                analyze_switch(graph, "S1", max_order=max_order)
+            with pytest.raises(ModelError, match=message):
+                control_path_cut_sets(graph, "S1", max_order=max_order)
 
     def test_switch_as_site_rejected(self):
         graph = NetworkGraph(

@@ -224,6 +224,33 @@ class TestEndToEnd:
         assert status == 400
         assert "unknown query kind" in json.loads(body)["error"]
 
+    def test_unreachable_switch_network_query_is_400(self):
+        """A switch with no path to a site is a client error, not a 500."""
+        from repro.network import NetworkGraph, NetworkLink, NetworkNode
+
+        graph = NetworkGraph(
+            name="split",
+            nodes=(
+                NetworkNode("CTRL", kind="site"),
+                NetworkNode("S1"),
+                NetworkNode("S2"),
+            ),
+            links=(NetworkLink("L0", "S1", "S2"),),
+        )
+        payload = json.dumps(
+            {"kind": "network", "graph": graph.to_dict(), "switch": "S1"}
+        ).encode()
+        raw = (
+            b"POST /v1/query HTTP/1.1\r\n"
+            + f"Content-Length: {len(payload)}\r\n\r\n".encode()
+            + payload
+        )
+        status, body = self._request(raw)
+        assert status == 400
+        error = json.loads(body)["error"]
+        assert "network analysis failed" in error
+        assert "no cut sets" in error
+
     def test_malformed_framing_closes_with_400(self):
         status, body = self._request(b"TOTAL GARBAGE\r\n\r\n")
         assert status == 400
