@@ -8,8 +8,8 @@ compaction, warm-pool dispatch).  Also times the parallel path cold
 (first dispatch creates the pool) and warm (pool reused), checks
 bit-identity across worker counts, measures the streaming-telemetry tax
 (sequential campaign with the JSONL sink on vs off, < 5% required), times
-the struct-of-arrays lockstep kernel on an expressible mega-batch
-campaign (>= 5x the live sequential scalar rate required on the reference
+the batched replication kernel on an expressible mega-batch campaign
+(>= 5x the live sequential scalar rate required on the reference
 container), and writes ``sim_engine`` + ``telemetry_overhead`` +
 ``sim_batched`` sections to ``BENCH_perf.json`` (other sections are
 preserved).  Runnable as a pytest
@@ -156,12 +156,12 @@ def run_sim_batched_bench(
     scalar_replications: int = 4,
     repeats: int = 2,
 ) -> dict:
-    """Time the struct-of-arrays lockstep kernel vs the scalar engine.
+    """Time the batched replication kernel vs the scalar engine.
 
     The scalar engine is timed sequentially on a few replications of an
-    expressible campaign; the kernel then advances a mega-batch of
-    ``replications`` rows of the same workload in lockstep.  Throughput is
-    compared per replication (identical simulated work per row), and the
+    expressible campaign; the kernel then runs a mega-batch of
+    ``replications`` replications of the same workload.  Throughput is
+    compared per replication (identical simulated work in each), and the
     kernel's results are checked bit-identical against the scalar engine
     before any timing is trusted.  Returns the ``sim_batched``
     BENCH_perf.json section.
@@ -322,7 +322,7 @@ def _report(
             f"batched kernel: "
             f"{batched_record['events_per_second_scalar_equivalent']:,.0f} "
             f"scalar-equivalent ev/s over "
-            f"{batched_record['replications']} lockstep replications — "
+            f"{batched_record['replications']} replications — "
             f"{batched_record['speedup_vs_scalar_sequential']:.2f}x the "
             f"live scalar rate "
             f"({batched_record['scalar_events_per_second']:,.0f} ev/s), "
@@ -371,12 +371,11 @@ def _throughput_ok(record: dict, minimum: float | None = None) -> bool:
 
 
 def _batched_ok(record: dict, minimum: float | None = None) -> bool:
-    """Lockstep-kernel speedup target.
+    """Batched-kernel speedup target.
 
     The >= 5x target over the live sequential scalar rate holds on the
     repo's reference container at the full mega-batch workload (hundreds
-    of lockstep rows — the kernel's fixed per-round numpy dispatch cost
-    amortizes across rows).  Foreign machines need half of it; an explicit
+    of replications).  Foreign machines need half of it; an explicit
     ``minimum`` (scalar-equivalent events/sec floor) overrides the ratio
     test for shrunk smoke workloads, and floors only bind on runners with
     >= 2 CPUs, like the other targets.
@@ -451,7 +450,7 @@ def main(argv: list[str] | None = None) -> int:
         "--batched-replications",
         type=int,
         default=384,
-        help="lockstep rows for the sim_batched section",
+        help="replications for the sim_batched section",
     )
     parser.add_argument(
         "--batched-horizon",

@@ -968,7 +968,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("auto", "on", "off"),
         default="auto",
         help=(
-            "struct-of-arrays lockstep kernel: auto falls back to the "
+            "batched replication kernel: auto falls back to the "
             "scalar engine when hazards/crews/scenario-2 need it, on "
             "requires the kernel, off forces the scalar engine"
         ),

@@ -323,10 +323,10 @@ def run_campaign(
     per-hazard injection counters and the peak repair-queue depth.
 
     ``batched="auto"`` (default) routes hazard-free, crew-unlimited
-    scenario-1 campaigns through the struct-of-arrays lockstep kernel
+    scenario-1 campaigns through the lean counter-based kernel
     (:mod:`repro.sim.batched`) when no explicit ``executor`` is given —
-    same numbers, one vectorized process instead of one event loop per
-    replication.  ``"on"`` requires the kernel and raises
+    same numbers, a cheaper event loop per replication.  ``"on"``
+    requires the kernel and raises
     :class:`~repro.errors.SimulationError` when the campaign needs scalar
     features; ``"off"`` always uses the scalar engine.
     """

@@ -13,8 +13,8 @@ the 10^4-10^6 model evaluations that availability confidence studies need:
   the matching replication runner lives in :mod:`repro.sim.replicate`;
 * :mod:`repro.perf.cache` — transparent memoization of model evaluations
   keyed on the frozen parameter dataclasses;
-* :mod:`repro.perf.batching` — memory-bounded chunk sizing for the
-  struct-of-arrays lockstep replication kernel (:mod:`repro.sim.batched`).
+* :mod:`repro.perf.batching` — chunk sizing (progress pacing) for the
+  batched replication kernel (:mod:`repro.sim.batched`).
 """
 
 from repro.perf.batching import (

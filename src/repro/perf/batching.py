@@ -1,24 +1,22 @@
-"""Batch sizing for the struct-of-arrays replication kernel.
+"""Chunk sizing for the batched replication kernel.
 
-The batched kernel (:mod:`repro.sim.batched`) holds per-replication clock
-matrices and RNG buffers for every replication it advances in lockstep;
-memory grows as ``replications * components``.  This module picks how many
-replications to advance per chunk so the arrays stay cache/memory friendly
-while keeping enough rows in flight to amortize the fixed per-round numpy
-dispatch cost.
+The batched kernel (:mod:`repro.sim.batched`) runs replications one at a
+time and dispatches them in chunks; each chunk emits one ``progress``
+telemetry event.  The chunk size therefore only paces progress
+reporting — it does not bound the kernel's working set, which is one
+replication's flat lists and RNG blocks.
 """
 
 from __future__ import annotations
 
 from repro.errors import SimulationError
 
-#: Approximate resident bytes per (replication row, component): the fail and
-#: repair clock columns (2 x 8 B), the two 64-deep standard-exponential
-#: buffers (2 x 64 x 8 B), buffer cursors, and intrinsic-state bookkeeping.
+#: Nominal bytes charged per (replication, component) against the chunk
+#: budget.  A pacing constant: with the default budget a chunk of the
+#: reference workloads holds every replication of a campaign.
 BYTES_PER_ROW_COMPONENT = 1104
 
-#: Default memory budget for one kernel chunk (~96 MiB keeps the arrays
-#: comfortably in main memory on small CI runners).
+#: Default budget one chunk is sized against.
 DEFAULT_BUDGET_BYTES = 96 * 2**20
 
 
@@ -27,11 +25,10 @@ def replication_batch_size(
     components: int,
     budget_bytes: int = DEFAULT_BUDGET_BYTES,
 ) -> int:
-    """Replication rows to advance per lockstep chunk.
+    """Replications per kernel chunk (one ``progress`` event each).
 
-    Caps chunk memory at ``budget_bytes`` given the kernel's per-row cost
-    of ``components * BYTES_PER_ROW_COMPONENT`` bytes; never below 1 row
-    and never above ``replications``.
+    ``budget_bytes // (components * BYTES_PER_ROW_COMPONENT)``, never
+    below 1 and never above ``replications``.
     """
     if replications < 1:
         raise SimulationError(f"replications must be >= 1, got {replications}")

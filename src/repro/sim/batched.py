@@ -1,22 +1,28 @@
-"""Mega-batch struct-of-arrays replication kernel.
+"""Lean replication kernel over incremental k-of-n quorum counters.
 
-Advances **all replications of a campaign simultaneously**: instead of one
-Python event loop per replication, every per-component failure/repair clock
-lives in one ``replications x clocks`` numpy matrix, the next event of every
-replication is selected with a single vectorized ``argmin`` per round, and
-state flips, repair draws, subtree reschedules, signal integration, and
-batch-means accounting all happen as masked array updates.
+Runs each replication of an expressible campaign through a tight
+pure-Python event loop instead of the general scalar engine: flat
+per-component lists built once by :func:`plan_batched`, one heap of live
+clocks, and plane signals kept as incremental counters (Eq. 1 / Table III
+are hierarchical k-of-n counts over role instances).  A transition touches
+only the counters of the components whose effective state flipped:
+
+    down members per instance -> satisfied instances per unit
+    -> unsatisfied units per plane (cp / sdp / ldp; dp = sdp AND ldp)
+
+so a refresh costs O(flipped components), never a re-walk of every
+quorum unit.
 
 **Exact-equivalence contract.**  For every spec the kernel accepts
 (:func:`plan_batched` returns a model), the per-replication results are
 *bit-identical* to the scalar engine run with the same seeds:
 
-* Each replication ``r`` owns ``SeedSequence(seed_r)``; failure generators
-  are spawned up front for every positive-rate component in registration
+* Each replication owns ``SeedSequence(seed)``; failure generators are
+  spawned up front for every positive-rate component in registration
   order — exactly the spawn order the scalar engine's first-use stream
-  creation produces during initial clock scheduling — and repair generators
-  are spawned lazily at each component's first repair draw, which the
-  lockstep loop replays in the same chronological order.
+  creation produces during initial clock scheduling — and repair
+  generators are spawned lazily at each component's first repair draw, in
+  chronological order.
 * Standard-exponential variates are buffered in fixed blocks and scaled by
   the mean at consumption time; numpy block draws consume the bit stream
   exactly like repeated scalar draws (see :mod:`repro.sim.rng`), so the
@@ -25,6 +31,10 @@ batch-means accounting all happen as masked array updates.
   attribution ledgers are computed with the same IEEE-754 operations in the
   same order as the scalar engine, so availabilities, episode counts, and
   attribution totals match with ``==``, not ``approx``.
+* Clocks are heap entries ``(time, slot, version)`` — slot ``c`` is
+  component ``c``'s failure clock, slot ``n + c`` its repair clock — with
+  lazy deletion by per-slot version, so simultaneous clocks fire lowest
+  slot first.
 
 The scalar engine additionally pops *stale* events (cancelled clocks whose
 epoch moved on); those pops never change state, draw randomness, or alter
@@ -43,6 +53,8 @@ dependencies — falls back to the scalar engine (see
 """
 
 from __future__ import annotations
+
+import heapq
 
 import numpy as np
 
@@ -69,6 +81,7 @@ __all__ = [
     "BLOCK",
     "SIGNALS",
     "BatchedModel",
+    "QuorumCounters",
     "inexpressible_reason",
     "plan_batched",
     "run_batched",
@@ -119,43 +132,38 @@ def inexpressible_reason(
 
 
 class BatchedModel:
-    """Frozen struct-of-arrays description of one expressible workload.
+    """Frozen flat-list description of one expressible workload.
 
     Built once per campaign from the same :func:`build_simulator` output the
-    scalar engine runs, then shared by every replication chunk.  All arrays
-    are indexed by the scalar engine's component *registration order*, which
-    is what fixes the RNG spawn order.
+    scalar engine runs, then shared by every replication.  Per-component
+    lists are indexed by the scalar engine's component *registration
+    order*, which is what fixes the RNG spawn order.
     """
 
     __slots__ = (
         "keys",
         "n_components",
-        "fail_rate",
-        "rate_pos",
-        "rate_pos_pad",
+        # Clock dynamics.
+        "fail_idx",
         "fail_scale",
         "repair_mean",
-        "is_auto",
-        "sup_idx",
+        "auto_restart",
+        "sup",
         "auto_mean",
-        "anc_pad",
-        "cand_idx",
-        "closure_fail_idx",
-        "local_idx",
-        "depth_sc",
-        # Flattened signal-evaluation layout: one gather over
-        # ``sig_flat`` + two reduceats evaluate every quorum unit of both
-        # planes (and the LDP AND-chain, encoded as a 1-instance unit with
-        # quorum 1) in a handful of vector ops per round.
-        "sig_flat",
-        "sig_inst_starts",
-        "sig_unit_starts",
-        "sig_quorums",
-        "sig_cp_count",
-        "sig_dp_count",
-        "sig_has_local",
-        "sig_cp_false",
-        "sig_dp_false",
+        # Masking: single parent (-1 for roots) and [self] + dependents
+        # closure in the engine's canonical (parent-before-child) order.
+        "parent",
+        "cand",
+        # Counter layout: the quorum instances each component is a member
+        # of, each instance's unit, and each unit's quorum / plane (0 cp,
+        # 1 sdp, 2 ldp) / instance count.
+        "member_of",
+        "inst_unit",
+        "unit_quorum",
+        "unit_plane",
+        "unit_size",
+        # depth[s][c]: attribution depth of component c for signal s.
+        "depth",
     )
 
 
@@ -195,118 +203,61 @@ def plan_batched(
     n = len(keys)
     model.keys = tuple(keys)
     model.n_components = n
-    model.fail_rate = np.array(
-        [component.failure_rate for component in components]
-    )
-    model.rate_pos = model.fail_rate > 0.0
-    model.rate_pos_pad = np.concatenate([model.rate_pos, [False]])
+    model.fail_idx = [
+        i for i, component in enumerate(components)
+        if component.failure_rate > 0.0
+    ]
     # Scaled exactly as the scalar engine's 1.0 / failure_rate mean.
-    model.fail_scale = np.where(
-        model.rate_pos, 1.0 / np.where(model.rate_pos, model.fail_rate, 1.0),
-        0.0,
-    )
-    model.repair_mean = np.array(
-        [component.repair_mean for component in components]
-    )
-    model.is_auto = np.array(
-        [
-            component.kind is ComponentKind.PROCESS and component.auto_restart
-            for component in components
-        ]
-    )
-    model.sup_idx = np.array(
-        [
-            index[component.supervisor_key]
-            if component.supervisor_key is not None
-            else -1
-            for component in components
-        ]
-    )
-    model.auto_mean = software.auto_restart_hours
-
-    # Ancestor chains (self first): a component is effectively up iff every
-    # entry of its chain is intrinsically up.  Padded with the virtual
-    # always-up column ``n``; row ``n`` itself is all-pad, so one gather
-    # yields effective states with a trailing don't-care column that every
-    # consumer masks out anyway.
-    chains: list[list[int]] = []
-    for component in components:
-        chain = [index[component.key]]
-        current = component
-        while current.dependencies:
-            parent = index[current.dependencies[0]]
-            chain.append(parent)
-            current = components[parent]
-        chains.append(chain)
-    depth_max = max(len(chain) for chain in chains)
-    model.anc_pad = np.full((n + 1, depth_max), n, dtype=np.intp)
-    for i, chain in enumerate(chains):
-        model.anc_pad[i, : len(chain)] = chain
-
-    # Dependents closures in the engine's canonical order; ``cand_idx`` is
-    # [self] + closure (the failure-clock candidates after a repair of the
-    # row component), ``closure_fail_idx`` targets the fail columns to
-    # blanket-cancel on a failure (padded to the permanent-inf column 2n).
-    closures = [
-        [index[key] for key in probe._closure[component.key]]
+    model.fail_scale = [
+        1.0 / component.failure_rate if component.failure_rate > 0.0 else 0.0
         for component in components
     ]
-    k_max = max((len(c) for c in closures), default=0)
-    model.cand_idx = np.full((n, k_max + 1), n, dtype=np.intp)
-    model.closure_fail_idx = np.full((n, max(k_max, 1)), 2 * n, dtype=np.intp)
-    for i, closure in enumerate(closures):
-        model.cand_idx[i, 0] = i
-        if closure:
-            model.cand_idx[i, 1 : 1 + len(closure)] = closure
-            model.closure_fail_idx[i, : len(closure)] = closure
+    model.repair_mean = [component.repair_mean for component in components]
+    model.auto_restart = [
+        component.kind is ComponentKind.PROCESS and component.auto_restart
+        for component in components
+    ]
+    model.sup = [
+        index[component.supervisor_key]
+        if component.supervisor_key is not None
+        else -1
+        for component in components
+    ]
+    model.auto_mean = software.auto_restart_hours
+    model.parent = [
+        index[component.dependencies[0]] if component.dependencies else -1
+        for component in components
+    ]
+    model.cand = [
+        [i] + [index[key] for key in probe._closure[component.key]]
+        for i, component in enumerate(components)
+    ]
 
-    # Signal structure from the shared declarative plan, flattened for
-    # reduceat evaluation: members grouped unit -> instance -> member.
-    # ``sig_inst_starts`` delimits each instance's AND-segment inside the
-    # flat member gather; ``sig_unit_starts`` delimits each unit's run of
-    # instances for the satisfied-count sum.  The LDP AND-chain rides
-    # along as a trailing 1-instance unit with quorum 1.
+    # Counter layout from the shared declarative plan.  The LDP AND-chain
+    # rides along as one 1-instance unit with quorum 1.
     plan = signal_plan(spec, topology)
-    plane_units = plan["plane_units"]
-    model.local_idx = np.array(
-        [index[key] for key in plan["local_keys"]], dtype=np.intp
-    )
-    flat: list[int] = []
-    inst_starts: list[int] = []
-    unit_starts: list[int] = []
-    quorums: list[int] = []
-    model.sig_cp_false = False
-    model.sig_dp_false = False
-    for plane_name, false_attr in (("cp", "sig_cp_false"), ("dp", "sig_dp_false")):
-        count = 0
-        for quorum, per_instance in plane_units[plane_name]:
-            if not per_instance:
-                # A unit with zero instances can never satisfy a positive
-                # quorum — the whole plane is constantly down.
-                setattr(model, false_attr, quorum > 0)
-                continue
-            unit_starts.append(len(inst_starts))
-            quorums.append(quorum)
-            for member_keys in per_instance:
-                inst_starts.append(len(flat))
-                flat.extend(index[key] for key in member_keys)
-            count += 1
-        if plane_name == "cp":
-            model.sig_cp_count = count
-        else:
-            model.sig_dp_count = count
-    model.sig_has_local = model.local_idx.size > 0
-    if model.sig_has_local:
-        unit_starts.append(len(inst_starts))
-        quorums.append(1)
-        inst_starts.append(len(flat))
-        flat.extend(int(i) for i in model.local_idx)
-    model.sig_flat = np.array(flat, dtype=np.intp)
-    model.sig_inst_starts = np.array(inst_starts, dtype=np.intp)
-    model.sig_unit_starts = np.array(unit_starts, dtype=np.intp)
-    model.sig_quorums = np.array(quorums, dtype=np.int64)
+    units = [
+        (plane, quorum, per_instance)
+        for plane, plane_name in ((0, "cp"), (1, "dp"))
+        for quorum, per_instance in plan["plane_units"][plane_name]
+    ]
+    units.append((2, 1, [plan["local_keys"]]))
+    member_of: list[list[int]] = [[] for _ in range(n)]
+    model.inst_unit = []
+    model.unit_quorum = []
+    model.unit_plane = []
+    model.unit_size = []
+    for unit, (plane, quorum, per_instance) in enumerate(units):
+        model.unit_quorum.append(quorum)
+        model.unit_plane.append(plane)
+        model.unit_size.append(len(per_instance))
+        for member_keys in per_instance:
+            for key in member_keys:
+                member_of[index[key]].append(len(model.inst_unit))
+            model.inst_unit.append(unit)
+    model.member_of = [tuple(instances) for instances in member_of]
 
-    # Attribution depths: depth_sc[s, c] is the shortest dependents-closure
+    # Attribution depths: depth[s][c] is the shortest dependents-closure
     # distance from component c to signal s's declared dependency set (the
     # scalar engine's `_depth_map` + `_stamp_outage_cause` rule), or -1
     # when unreachable (the scalar fallback stamps the edge with depth -1).
@@ -314,14 +265,15 @@ def plan_batched(
         [index[key] for key in component.dependents]
         for component in components
     ]
-    sdp_keys = plane_signal_keys(plan, "dp")
+    sdp_keys = [index[key] for key in plane_signal_keys(plan, "dp")]
+    local = [index[key] for key in plan["local_keys"]]
     declared = (
         [index[key] for key in plane_signal_keys(plan, "cp")],
-        [index[key] for key in sdp_keys],
-        list(model.local_idx),
-        [index[key] for key in sdp_keys] + list(model.local_idx),
+        sdp_keys,
+        local,
+        sdp_keys + local,
     )
-    model.depth_sc = np.full((len(SIGNALS), n), -1, dtype=np.int64)
+    model.depth = [[-1] * n for _ in SIGNALS]
     for origin in range(n):
         depths = {origin: 0}
         frontier = [origin]
@@ -341,56 +293,318 @@ def plan_batched(
                 d = depths.get(key_idx)
                 if d is not None and (best < 0 or d < best):
                     best = d
-            model.depth_sc[s, origin] = best
+            model.depth[s][origin] = best
 
     return model, None
 
 
-def _signal_states(
-    model: BatchedModel, eff: np.ndarray, sel: np.ndarray | None = None
-) -> np.ndarray:
-    """Evaluate the four plane signals for each row of ``eff``.
+class QuorumCounters:
+    """The plane signals of one replication as incremental k-of-n counters.
 
-    Mirrors the scalar predicates exactly: CP/SDP are AND-of-quorum-units
-    over per-instance member AND-chains, LDP is the host-role AND-chain,
-    DP = SDP AND LDP.  One flat gather plus two reduceats evaluates every
-    unit of both planes (and LDP) at once — the per-round hot path.  When
-    ``sel`` is given only those rows of ``eff`` are evaluated (a single
-    fused 2-D gather instead of a row copy followed by a column gather).
+    Starts with every component effectively up; :meth:`down` / :meth:`up`
+    report one component's effective-state flip and return whether any
+    plane's unsatisfied-unit count moved, so callers re-read
+    :meth:`states` only when a signal can have changed.
     """
-    rows = eff.shape[0] if sel is None else sel.shape[0]
-    out = np.empty((rows, len(SIGNALS)), dtype=bool)
-    cp_count = model.sig_cp_count
-    dp_count = model.sig_dp_count
-    if model.sig_flat.size:
-        if sel is None:
-            values = eff[:, model.sig_flat]
+
+    __slots__ = ("_model", "inst_down", "unit_sat", "plane_bad")
+
+    def __init__(self, model: BatchedModel):
+        self._model = model
+        self.inst_down = [0] * len(model.inst_unit)
+        self.unit_sat = list(model.unit_size)
+        self.plane_bad = [0, 0, 0]
+        for plane, quorum, size in zip(
+            model.unit_plane, model.unit_quorum, model.unit_size
+        ):
+            if size < quorum:
+                self.plane_bad[plane] += 1
+
+    def down(self, c: int) -> bool:
+        """Component ``c`` went effectively down."""
+        model = self._model
+        inst_down = self.inst_down
+        moved = False
+        for i in model.member_of[c]:
+            inst_down[i] += 1
+            if inst_down[i] == 1:
+                u = model.inst_unit[i]
+                self.unit_sat[u] -= 1
+                if self.unit_sat[u] == model.unit_quorum[u] - 1:
+                    self.plane_bad[model.unit_plane[u]] += 1
+                    moved = True
+        return moved
+
+    def up(self, c: int) -> bool:
+        """Component ``c`` came back effectively up."""
+        model = self._model
+        inst_down = self.inst_down
+        moved = False
+        for i in model.member_of[c]:
+            inst_down[i] -= 1
+            if not inst_down[i]:
+                u = model.inst_unit[i]
+                self.unit_sat[u] += 1
+                if self.unit_sat[u] == model.unit_quorum[u]:
+                    self.plane_bad[model.unit_plane[u]] -= 1
+                    moved = True
+        return moved
+
+    def states(self) -> list[bool]:
+        """``[cp, sdp, ldp, dp]`` — the :data:`SIGNALS` order."""
+        bad = self.plane_bad
+        sdp = not bad[1]
+        ldp = not bad[2]
+        return [not bad[0], sdp, ldp, sdp and ldp]
+
+
+def _run_replication(
+    model: BatchedModel,
+    seed: int,
+    horizon: float,
+    boundaries: list[float],
+) -> tuple[SimulationResult, int]:
+    """One replication through the event loop (the scalar ``run``)."""
+    n = model.n_components
+    batches = len(boundaries)
+    fail_scale = model.fail_scale
+    repair_mean = model.repair_mean
+    auto_restart = model.auto_restart
+    sup = model.sup
+    auto_mean = model.auto_mean
+    parent = model.parent
+    cand = model.cand
+    member_of = model.member_of
+    heappush = heapq.heappush
+    heappop = heapq.heappop
+
+    # Failure generators spawn up front in registration order — the scalar
+    # engine's initial-scheduling stream-creation order.
+    root = np.random.SeedSequence(int(seed))
+    fail_gens: list = [None] * n
+    fail_bufs: list = [None] * n
+    fail_at = [BLOCK] * n
+    repair_gens: list = [None] * n
+    repair_bufs: list = [None] * n
+    repair_at = [BLOCK] * n
+    version = [0] * (2 * n)
+    heap = []
+    for c, child in zip(model.fail_idx, root.spawn(len(model.fail_idx))):
+        generator = np.random.default_rng(child)
+        fail_gens[c] = generator
+        fail_bufs[c] = block = generator.standard_exponential(BLOCK).tolist()
+        fail_at[c] = 1
+        heap.append((block[0] * fail_scale[c], c, 0))
+    heapq.heapify(heap)
+
+    intr = [True] * n
+    eff = [True] * n
+    counters = QuorumCounters(model)
+    down = counters.down
+    up_flip = counters.up
+    state = counters.states()
+    n_sig = len(SIGNALS)
+    outage_start: list = [None if s else 0.0 for s in state]
+    open_cause: list = [None] * n_sig
+    durations: list[list[float]] = [[] for _ in range(n_sig)]
+    causes: list[list] = [[] for _ in range(n_sig)]
+    batch_vals: list[list[float]] = [[] for _ in range(n_sig)]
+
+    # Signal states and up-time integrals as plain locals (the hot path
+    # touches each once per event), in the SIGNALS order.
+    cp, sdp, ldp, dp = state
+    up_cp = up_sdp = up_ldp = up_dp = 0.0
+    prev_cp = prev_sdp = prev_ldp = prev_dp = 0.0
+    last = 0.0
+    total = 0.0
+    prev_total = 0.0
+
+    b = 0
+    gate = min(boundaries[0], horizon)
+    events = 0
+    while True:
+        while heap:
+            t, slot, ver = heappop(heap)
+            if version[slot] == ver:
+                break
         else:
-            values = eff[sel[:, None], model.sig_flat]
-        instance_up = np.logical_and.reduceat(
-            values, model.sig_inst_starts, axis=1
+            t = float("inf")
+        if t >= gate:
+            # Record crossed boundaries (the scalar `_record_batch`); stop
+            # before an event at or after the horizon, recording every
+            # remaining boundary.
+            stop = t >= horizon
+            while b < batches and (stop or t >= boundaries[b]):
+                boundary = boundaries[b]
+                elapsed = boundary - last
+                total += elapsed
+                if cp:
+                    up_cp += elapsed
+                if sdp:
+                    up_sdp += elapsed
+                if ldp:
+                    up_ldp += elapsed
+                if dp:
+                    up_dp += elapsed
+                last = boundary
+                batch_total = total - prev_total
+                if batch_total > 0:
+                    batch_vals[0].append((up_cp - prev_cp) / batch_total)
+                    batch_vals[1].append((up_sdp - prev_sdp) / batch_total)
+                    batch_vals[2].append((up_ldp - prev_ldp) / batch_total)
+                    batch_vals[3].append((up_dp - prev_dp) / batch_total)
+                prev_cp, prev_sdp = up_cp, up_sdp
+                prev_ldp, prev_dp = up_ldp, up_dp
+                prev_total = total
+                b += 1
+            if stop:
+                break
+            gate = min(boundaries[b], horizon) if b < batches else horizon
+
+        moved = False
+        if slot < n:
+            # Failure: the component and every effectively-up member of
+            # its dependents closure go down; their failure clocks cancel.
+            c = slot
+            intr[c] = False
+            for d in cand[c]:
+                if eff[d]:
+                    eff[d] = False
+                    version[d] += 1
+                    if member_of[d] and down(d):
+                        moved = True
+            # AUTO processes restart in R while their supervisor is
+            # effectively up, R_S otherwise; everything else uses its
+            # stored repair mean.
+            supervisor = sup[c]
+            if auto_restart[c] and (supervisor < 0 or eff[supervisor]):
+                mean = auto_mean
+            else:
+                mean = repair_mean[c]
+            k = repair_at[c]
+            if k == BLOCK:
+                generator = repair_gens[c]
+                if generator is None:
+                    generator = np.random.default_rng(root.spawn(1)[0])
+                    repair_gens[c] = generator
+                repair_bufs[c] = generator.standard_exponential(BLOCK).tolist()
+                k = 0
+            repair_at[c] = k + 1
+            heappush(
+                heap, (t + repair_bufs[c][k] * mean, n + c, version[n + c])
+            )
+        else:
+            # Repair: when the component comes back effectively up, it and
+            # every now-unmasked dependent (parents first) redraw a
+            # failure clock — memorylessness makes the resample exact.
+            c = slot - n
+            intr[c] = True
+            p = parent[c]
+            if p < 0 or eff[p]:
+                for d in cand[c]:
+                    if d != c and not (intr[d] and eff[parent[d]]):
+                        continue
+                    eff[d] = True
+                    if member_of[d] and up_flip(d):
+                        moved = True
+                    scale = fail_scale[d]
+                    if scale:
+                        k = fail_at[d]
+                        if k == BLOCK:
+                            fail_bufs[d] = (
+                                fail_gens[d]
+                                .standard_exponential(BLOCK)
+                                .tolist()
+                            )
+                            k = 0
+                        fail_at[d] = k + 1
+                        heappush(
+                            heap,
+                            (t + fail_bufs[d][k] * scale, d, version[d]),
+                        )
+
+        # Signal integration (the scalar `_refresh_signals`) over the
+        # pre-event states, then episode bookkeeping for any flip.
+        elapsed = t - last
+        total += elapsed
+        if cp:
+            up_cp += elapsed
+        if sdp:
+            up_sdp += elapsed
+        if ldp:
+            up_ldp += elapsed
+        if dp:
+            up_dp += elapsed
+        last = t
+        if moved:
+            state = (cp, sdp, ldp, dp)
+            new_state = counters.states()
+            for s in range(n_sig):
+                if new_state[s] == state[s]:
+                    continue
+                if state[s]:
+                    # Up -> down: open an episode, charged to the failing
+                    # component at its closure depth.
+                    outage_start[s] = t
+                    if slot < n:
+                        open_cause[s] = (
+                            model.keys[c], "stochastic", model.depth[s][c]
+                        )
+                    else:  # pragma: no cover - repairs cannot mask
+                        open_cause[s] = None
+                else:
+                    # Down -> up: close the episode.
+                    if outage_start[s] is not None:
+                        durations[s].append(t - outage_start[s])
+                        causes[s].append(open_cause[s])
+                    outage_start[s] = None
+                    open_cause[s] = None
+            cp, sdp, ldp, dp = new_state
+        events += 1
+        # The event that crosses the final boundary is the last executed.
+        if b >= batches:
+            break
+
+    # -- result assembly (the scalar `collect_result`) ------------------------
+    up = (up_cp, up_sdp, up_ldp, up_dp)
+    intervals = {}
+    outages = {}
+    attribution = {}
+    availability = {}
+    for s, name in enumerate(SIGNALS):
+        if len(batch_vals[s]) >= 2:
+            intervals[name] = batch_means_interval(batch_vals[s])
+        episode_durations = durations[s]
+        count = len(episode_durations)
+        outages[name] = OutageStatistics(
+            count=count,
+            frequency_per_hour=count / total,
+            mean_duration_hours=(
+                sum(episode_durations) / count if count else 0.0
+            ),
         )
-        satisfied = np.add.reduceat(
-            instance_up, model.sig_unit_starts, axis=1, dtype=np.int64
+        open_duration = None
+        if outage_start[s] is not None:
+            open_duration = last - outage_start[s]
+        attribution[name] = build_attribution(
+            name,
+            episode_durations,
+            causes[s],
+            open_cause=open_cause[s],
+            open_duration=open_duration,
         )
-        unit_ok = satisfied >= model.sig_quorums
-    else:  # no quorum units at all
-        unit_ok = np.ones((rows, 0), dtype=bool)
-    cp = unit_ok[:, :cp_count].all(axis=1)
-    sdp = unit_ok[:, cp_count : cp_count + dp_count].all(axis=1)
-    if model.sig_cp_false:
-        cp = np.zeros(rows, dtype=bool)
-    if model.sig_dp_false:
-        sdp = np.zeros(rows, dtype=bool)
-    if model.sig_has_local:
-        ldp = unit_ok[:, -1]
-    else:
-        ldp = np.ones(rows, dtype=bool)
-    out[:, 0] = cp
-    out[:, 1] = sdp
-    out[:, 2] = ldp
-    out[:, 3] = sdp & ldp
-    return out
+        availability[name] = up[s] / total
+    result = SimulationResult(
+        cp=availability["cp"],
+        shared_dp=availability["sdp"],
+        local_dp=availability["ldp"],
+        dp=availability["dp"],
+        intervals=intervals,
+        outages=outages,
+        horizon_hours=horizon,
+        attribution=attribution,
+    )
+    return result, events
 
 
 def _run_chunk(
@@ -399,368 +613,11 @@ def _run_chunk(
     horizon: float,
     batches: int,
 ) -> list[tuple[SimulationResult, int]]:
-    """Advance one chunk of replications in lockstep to the horizon."""
-    n_rep = len(seeds)
-    n = model.n_components
-    n_sig = len(SIGNALS)
+    """Run one chunk of replications, one event loop per seed."""
     boundaries = [horizon * (i + 1) / batches for i in range(batches)]
-
-    # Clock matrix: columns [0, n) failure clocks, [n, 2n) repair clocks,
-    # column 2n permanently +inf (the blanket-cancel pad target).
-    times = np.full((n_rep, 2 * n + 1), np.inf)
-    # Intrinsic state; column n is a virtual always-up pad for ancestor
-    # gathers of chain-end components.
-    intr = np.ones((n_rep, n + 1), dtype=bool)
-
-    roots = [np.random.SeedSequence(int(seed)) for seed in seeds]
-    pos_idx = np.flatnonzero(model.rate_pos)
-    fail_gens: list[list] = [[None] * n for _ in range(n_rep)]
-    repair_gens: list[list] = [[None] * n for _ in range(n_rep)]
-    fail_buf = np.empty((n_rep, n, BLOCK))
-    repair_buf = np.empty((n_rep, n, BLOCK))
-    fail_pos = np.full((n_rep, n), BLOCK, dtype=np.int64)
-    repair_pos = np.full((n_rep, n), BLOCK, dtype=np.int64)
-
-    # Failure generators spawn up front in registration order — the scalar
-    # engine's initial-scheduling stream-creation order.
-    for r, root in enumerate(roots):
-        children = root.spawn(len(pos_idx))
-        for j, c in enumerate(pos_idx):
-            generator = np.random.default_rng(children[j])
-            fail_gens[r][c] = generator
-            fail_buf[r, c] = generator.standard_exponential(BLOCK)
-    fail_pos[:, pos_idx] = 1
-    times[:, pos_idx] = fail_buf[:, pos_idx, 0] * model.fail_scale[pos_idx]
-
-    fail_buf_flat = fail_buf.reshape(-1)
-    repair_buf_flat = repair_buf.reshape(-1)
-    fail_pos_flat = fail_pos.reshape(-1)
-    repair_pos_flat = repair_pos.reshape(-1)
-
-    def draw(rows, comps, buf_flat, pos_flat, gens, lazy: bool) -> np.ndarray:
-        """Pop one standard exponential per (row, component) pair.
-
-        Flat linear indexing into the ``(reps, comps, BLOCK)`` buffers —
-        one gather and one scatter per call instead of multi-axis fancy
-        indexing on the hot path.
-        """
-        linear = rows * n + comps
-        cursor = pos_flat[linear]
-        need = cursor >= BLOCK
-        if need.any():
-            for i in np.flatnonzero(need):
-                r = int(rows[i])
-                c = int(comps[i])
-                generator = gens[r][c]
-                if generator is None:
-                    if not lazy:  # pragma: no cover - defensive
-                        raise SimulationError(
-                            f"missing fail stream for component {c}"
-                        )
-                    generator = np.random.default_rng(roots[r].spawn(1)[0])
-                    gens[r][c] = generator
-                block_start = (r * n + c) * BLOCK
-                buf_flat[block_start : block_start + BLOCK] = (
-                    generator.standard_exponential(BLOCK)
-                )
-                pos_flat[r * n + c] = 0
-            cursor = pos_flat[linear]
-        values = buf_flat[linear * BLOCK + cursor]
-        pos_flat[linear] = cursor + 1
-        return values
-
-    # Integration state.
-    last = np.zeros(n_rep)
-    total = np.zeros(n_rep)
-    up = np.zeros((n_rep, n_sig))
-    prev_up = np.zeros((n_rep, n_sig))
-    prev_total = np.zeros(n_rep)
-    bidx = np.zeros(n_rep, dtype=np.int64)
-    next_boundary = np.full(n_rep, boundaries[0])
-    done = np.zeros(n_rep, dtype=bool)
-    events = np.zeros(n_rep, dtype=np.int64)
-
-    # Effective (intrinsic AND ancestors) state, maintained incrementally:
-    # an event on component ``c`` can only change the effective state of
-    # ``c`` and its dependents closure, so each round rewrites just those
-    # entries instead of re-gathering every ancestor chain.  Column ``n``
-    # is the all-pad don't-care column and stays True forever.
-    eff = np.ones((n_rep, n + 1), dtype=bool)
-    # Components with no dependents (the overwhelming majority: processes
-    # and scenario-1 supervisors) only ever update their own entry.
-    lone_mask = (model.cand_idx != n).sum(axis=1) == 1
-    sig_state = _signal_states(model, eff)
-    outage_start = np.full((n_rep, n_sig), np.nan)
-    outage_start[~sig_state] = 0.0  # a signal that starts down opens at t=0
-    open_cause: list[list] = [[None] * n_sig for _ in range(n_rep)]
-    durations: list[list[list[float]]] = [
-        [[] for _ in range(n_sig)] for _ in range(n_rep)
+    return [
+        _run_replication(model, seed, horizon, boundaries) for seed in seeds
     ]
-    causes: list[list[list]] = [
-        [[] for _ in range(n_sig)] for _ in range(n_rep)
-    ]
-    batch_vals: list[list[list[float]]] = [
-        [[] for _ in range(n_sig)] for _ in range(n_rep)
-    ]
-
-    def record_batch(r: int, boundary: float) -> None:
-        """The scalar engine's `_record_batch` for one replication."""
-        elapsed = boundary - last[r]
-        total[r] += elapsed
-        for s in range(n_sig):
-            if sig_state[r, s]:
-                up[r, s] += elapsed
-        last[r] = boundary
-        batch_total = total[r] - prev_total[r]
-        for s in range(n_sig):
-            if batch_total > 0:
-                batch_vals[r][s].append(
-                    float((up[r, s] - prev_up[r, s]) / batch_total)
-                )
-            prev_up[r, s] = up[r, s]
-        prev_total[r] = total[r]
-
-    sup_idx = model.sup_idx
-    depth_sc = model.depth_sc
-    keys = model.keys
-    anc_pad = model.anc_pad
-    row_range = np.arange(n_rep)
-    active = np.flatnonzero(~done)
-    while active.size:
-        all_live = active.size == n_rep
-        sub = times if all_live else times[active]
-        local_idx = sub.argmin(axis=1)
-        t = sub[row_range[: active.size], local_idx]
-
-        # Boundary crossings and horizon stops are rare per row — handle
-        # them in exact scalar order, per replication.
-        crossing = (t >= next_boundary[active]) | (t >= horizon)
-        crossing_any = bool(crossing.any())
-        if crossing_any:
-            for i in np.flatnonzero(crossing):
-                r = int(active[i])
-                time_r = float(t[i])
-                b = int(bidx[r])
-                while b < batches and time_r >= boundaries[b]:
-                    record_batch(r, boundaries[b])
-                    b += 1
-                if time_r >= horizon:
-                    # The scalar loop breaks before executing this event
-                    # and records every remaining boundary.
-                    while b < batches:
-                        record_batch(r, boundaries[b])
-                        b += 1
-                    done[r] = True
-                bidx[r] = b
-                next_boundary[r] = (
-                    boundaries[b] if b < batches else np.inf
-                )
-            exec_mask = ~done[active]
-            er = active[exec_mask]
-            eidx = local_idx[exec_mask]
-            et = t[exec_mask]
-        else:
-            er = active
-            eidx = local_idx
-            et = t
-
-        if er.size:
-            full = all_live and not crossing_any
-            is_fail = eidx < n
-            comp = np.where(is_fail, eidx, eidx - n)
-
-            # Expire the fired clocks and flip intrinsic state.
-            times[er, eidx] = np.inf
-            fail_sel = np.flatnonzero(is_fail)
-            repair_sel = np.flatnonzero(~is_fail)
-            fail_rows = er[fail_sel]
-            fail_comp = comp[fail_sel]
-            repair_rows = er[repair_sel]
-            repair_comp = comp[repair_sel]
-            intr[fail_rows, fail_comp] = False
-            intr[repair_rows, repair_comp] = True
-            if fail_rows.size:
-                # Blanket-cancel every failure clock in the dependents
-                # closure: while the component is down no closure member
-                # can hold one (the scalar engine's subtree reschedule).
-                times[
-                    fail_rows[:, None], model.closure_fail_idx[fail_comp]
-                ] = np.inf
-
-            # Incremental effective-state update: an event on ``c`` only
-            # touches ``c`` and its dependents closure.  Components with
-            # no dependents (almost every event) rewrite one entry from
-            # their own ancestor chain; the rare infra events rewrite the
-            # whole padded candidate block (pad writes land on the
-            # always-True column ``n``).
-            lone = lone_mask[comp]
-            lone_sel = np.flatnonzero(lone)
-            if lone_sel.size:
-                lrows = er[lone_sel]
-                lcomp = comp[lone_sel]
-                eff[lrows, lcomp] = intr[
-                    lrows[:, None], anc_pad[lcomp]
-                ].all(axis=1)
-            wide_sel = np.flatnonzero(~lone)
-            if wide_sel.size:
-                wrows = er[wide_sel]
-                cols = model.cand_idx[comp[wide_sel]]
-                eff[wrows[:, None], cols] = intr[
-                    wrows[:, None, None], anc_pad[cols]
-                ].all(axis=2)
-
-            # Repair draws for the rows that just failed: AUTO processes
-            # restart in R while their supervisor is effectively up, R_S
-            # otherwise; everything else uses its stored repair mean.
-            if fail_rows.size:
-                sup = sup_idx[fail_comp]
-                sup_col = np.where(sup < 0, n, sup)
-                sup_ok = (sup < 0) | eff[fail_rows, sup_col]
-                mean = np.where(
-                    model.is_auto[fail_comp] & sup_ok,
-                    model.auto_mean,
-                    model.repair_mean[fail_comp],
-                )
-                values = draw(
-                    fail_rows, fail_comp, repair_buf_flat, repair_pos_flat,
-                    repair_gens, lazy=True,
-                )
-                times[fail_rows, n + fail_comp] = (
-                    et[fail_sel] + values * mean
-                )
-
-            # Fresh failure clocks after a repair: the repaired component
-            # plus every transitive dependent that is now effectively up
-            # (and can fail at all) redraws its clock — memorylessness
-            # makes the resample exact.
-            if repair_rows.size:
-                cand = model.cand_idx[repair_comp]
-                eligible = (
-                    eff[repair_rows[:, None], cand]
-                    & model.rate_pos_pad[cand]
-                )
-                pair_row, pair_col = np.nonzero(eligible)
-                if pair_row.size:
-                    draw_rows = repair_rows[pair_row]
-                    draw_comp = cand[pair_row, pair_col]
-                    values = draw(
-                        draw_rows, draw_comp, fail_buf_flat, fail_pos_flat,
-                        fail_gens, lazy=False,
-                    )
-                    times[draw_rows, draw_comp] = (
-                        et[repair_sel][pair_row]
-                        + values * model.fail_scale[draw_comp]
-                    )
-
-            # Signal integration (the scalar `_refresh_signals`).  On the
-            # no-crossing all-live fast path every row executes, so the
-            # integration arrays update in place without fancy indexing
-            # and the previous state array is read without a copy.
-            new_sig = (
-                _signal_states(model, eff)
-                if full
-                else _signal_states(model, eff, er)
-            )
-            old_sig = sig_state if full else sig_state[er]
-            elapsed = et - last if full else et - last[er]
-            changed = old_sig != new_sig
-            if changed.any():
-                for i, s in zip(*np.nonzero(changed)):
-                    r = int(er[i])
-                    s = int(s)
-                    if old_sig[i, s]:
-                        # Up -> down: open an episode, charged to the
-                        # failing component at its closure depth.
-                        outage_start[r, s] = et[i]
-                        if is_fail[i]:
-                            c = int(comp[i])
-                            open_cause[r][s] = (
-                                keys[c], "stochastic", int(depth_sc[s, c])
-                            )
-                        else:  # pragma: no cover - repairs cannot mask
-                            open_cause[r][s] = None
-                    else:
-                        # Down -> up: close the episode.
-                        if not np.isnan(outage_start[r, s]):
-                            durations[r][s].append(
-                                float(et[i] - outage_start[r, s])
-                            )
-                            causes[r][s].append(open_cause[r][s])
-                        outage_start[r, s] = np.nan
-                        open_cause[r][s] = None
-            if full:
-                total += elapsed
-                up += np.where(old_sig, elapsed[:, None], 0.0)
-                last[:] = et
-                sig_state = new_sig
-                events += 1
-            else:
-                total[er] += elapsed
-                up[er] += np.where(old_sig, elapsed[:, None], 0.0)
-                last[er] = et
-                sig_state[er] = new_sig
-                events[er] += 1
-
-            # Rows whose final boundary was crossed by this event exit
-            # after executing it, like the scalar loop condition;  ``bidx``
-            # only moves inside the crossing handler, so there is nothing
-            # to check on rounds without one.
-            if crossing_any:
-                final = bidx[er] >= batches
-                if final.any():
-                    done[er[final]] = True
-
-        if crossing_any:
-            active = np.flatnonzero(~done)
-
-    # -- result assembly (the scalar `collect_result`) --------------------
-    out: list[tuple[SimulationResult, int]] = []
-    for r in range(n_rep):
-        intervals = {}
-        outages = {}
-        attribution = {}
-        availability = {}
-        total_r = float(total[r])
-        for s, name in enumerate(SIGNALS):
-            values = batch_vals[r][s]
-            if len(values) >= 2:
-                intervals[name] = batch_means_interval(values)
-            episode_durations = durations[r][s]
-            count = len(episode_durations)
-            outages[name] = OutageStatistics(
-                count=count,
-                frequency_per_hour=count / total_r,
-                mean_duration_hours=(
-                    sum(episode_durations) / count if count else 0.0
-                ),
-            )
-            open_duration = None
-            if not np.isnan(outage_start[r, s]):
-                open_duration = float(last[r] - outage_start[r, s])
-            attribution[name] = build_attribution(
-                name,
-                episode_durations,
-                causes[r][s],
-                open_cause=open_cause[r][s],
-                open_duration=open_duration,
-            )
-            availability[name] = float(up[r, s] / total[r])
-        out.append(
-            (
-                SimulationResult(
-                    cp=availability["cp"],
-                    shared_dp=availability["sdp"],
-                    local_dp=availability["ldp"],
-                    dp=availability["dp"],
-                    intervals=intervals,
-                    outages=outages,
-                    horizon_hours=horizon,
-                    attribution=attribution,
-                ),
-                int(events[r]),
-            )
-        )
-    return out
 
 
 def run_batched(
@@ -771,10 +628,10 @@ def run_batched(
 ) -> list[tuple[SimulationResult, int]]:
     """Run one replication per seed on the batched kernel.
 
-    Returns ``(result, live_event_count)`` pairs in seed order.  Large seed
-    lists are split into memory-bounded chunks
-    (:func:`repro.perf.batching.replication_batch_size`); one ``progress``
-    telemetry event is emitted per chunk, mirroring the scalar dispatcher.
+    Returns ``(result, live_event_count)`` pairs in seed order.  Seeds are
+    dispatched in chunks (:func:`repro.perf.batching.replication_batch_size`)
+    that pace progress reporting: one ``progress`` telemetry event is
+    emitted per chunk, mirroring the scalar dispatcher.
     """
     if horizon <= 0:
         raise SimulationError(f"horizon must be > 0, got {horizon}")

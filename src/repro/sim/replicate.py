@@ -188,13 +188,13 @@ def run_replications(
     merged in index order, so the result is independent of scheduling.
 
     ``batched`` selects the engine: ``"auto"`` (default) routes through the
-    struct-of-arrays lockstep kernel (:mod:`repro.sim.batched`) whenever
+    lean counter-based kernel (:mod:`repro.sim.batched`) whenever
     the workload is expressible and no explicit ``executor`` was supplied
     — results are bit-identical to the scalar engine, so the knob never
     changes numbers, only speed.  ``"on"`` requires the kernel (raises
     :class:`~repro.errors.SimulationError` if the workload cannot run on
     it), ``"off"`` forces the scalar per-replication engine.  The kernel
-    advances all replications in one process, so ``workers`` is ignored
+    runs every replication in one process, so ``workers`` is ignored
     while it is engaged.
     """
     validate_batched_mode(batched)
@@ -236,9 +236,9 @@ def run_replications(
         horizon_hours=config.horizon_hours,
     ):
         if model is not None:
-            # Lockstep struct-of-arrays kernel: every replication advances
-            # in one process; per-replication results are bit-identical to
-            # the scalar engine with the same derived seeds.
+            # Counter-based kernel: every replication runs in this
+            # process; per-replication results are bit-identical to the
+            # scalar engine with the same derived seeds.
             results = tuple(
                 result
                 for result, _ in run_batched(

@@ -10,7 +10,7 @@ and the complete downtime-attribution ledgers) of one expressible campaign
 run on the **scalar** engine.  ``tests/test_sim_batched.py`` replays the
 same campaign on both engines (``batched="off"`` and ``batched="on"``) and
 requires bit-identical equality with the fixture (``==``, no tolerance):
-the struct-of-arrays kernel must reproduce the scalar engine's event
+the batched kernel must reproduce the scalar engine's event
 stream draw for draw.  Regenerate (and commit the diff) only when a change
 is *supposed* to alter the event stream, and say why in the commit
 message.
@@ -27,7 +27,7 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 FIXTURE_NAME = "sim_batched_fixtures.json"
 
 #: The pinned expressible campaign: scenario 1, no hazards, unlimited
-#: crews — every feature the lockstep kernel models, long enough that each
+#: crews — every feature the batched kernel models, long enough that each
 #: replication sees hundreds of failure/repair cycles and real outages on
 #: every signal.
 CAMPAIGN_SPEC = CampaignSpec(

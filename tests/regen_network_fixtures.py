@@ -21,11 +21,20 @@ outputs bit-identically), so any change to the cut-set compiler, the
 factored evaluator, the optimizer's tie-breaking, or the event stream
 fails loudly.  Regenerate (and commit the diff) only when a change is
 *supposed* to alter these numbers, and say why in the commit message.
+
+The SDP evaluator's term order follows set iteration over string keys,
+so the last bits of its floats depend on the interpreter's string-hash
+seed.  Run as a script, the module therefore re-executes itself under
+:data:`PINNED_HASH_SEED`, making regeneration byte-reproducible;
+:func:`main` called in-process keeps the ambient seed.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from repro.faults import LinkFlapSpec, SrgFailureSpec
@@ -49,6 +58,9 @@ from repro.topology.network_reference import (
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 FIXTURE_NAME = "network_fixtures.json"
+
+#: ``PYTHONHASHSEED`` every script-mode regeneration runs under.
+PINNED_HASH_SEED = "0"
 
 #: Reference graphs and the cut-set order each analysis is pinned at.
 #: ``None`` means complete enumeration (so the path lower bound exists);
@@ -216,5 +228,18 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def run_pinned() -> int:
+    """Script entry point: :func:`main` under :data:`PINNED_HASH_SEED`.
+
+    The hash seed is fixed at interpreter start, so a process started
+    with any other seed re-runs the same command line in a child
+    interpreter that has the pinned one.
+    """
+    if os.environ.get("PYTHONHASHSEED") == PINNED_HASH_SEED:
+        return main()
+    env = {**os.environ, "PYTHONHASHSEED": PINNED_HASH_SEED}
+    return subprocess.call([sys.executable, *sys.orig_argv[1:]], env=env)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run_pinned())

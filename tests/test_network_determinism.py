@@ -18,6 +18,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -191,3 +194,28 @@ class TestCampaignBitIdentical:
         assert main(["--out", str(tmp_path)]) == 0
         assert (tmp_path / "network_fixtures.json").exists()
         assert GOLDEN.read_bytes() == before
+
+    @pytest.mark.slow
+    def test_script_regen_is_byte_reproducible(self, tmp_path):
+        """Script-mode regeneration pins the string-hash seed, so runs
+        started under different ambient seeds write identical bytes."""
+        root = Path(__file__).resolve().parent.parent
+        outputs = []
+        for hash_seed in ("1", "2"):
+            out = tmp_path / hash_seed
+            env = {
+                **os.environ,
+                "PYTHONHASHSEED": hash_seed,
+                "PYTHONPATH": os.pathsep.join(
+                    [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+                ),
+            }
+            subprocess.run(
+                [
+                    sys.executable, "-m", "tests.regen_network_fixtures",
+                    "--out", str(out),
+                ],
+                cwd=root, env=env, check=True, capture_output=True,
+            )
+            outputs.append((out / "network_fixtures.json").read_bytes())
+        assert outputs[0] == outputs[1]
