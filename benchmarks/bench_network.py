@@ -32,7 +32,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if __name__ == "__main__":  # script mode: make src/ importable without install
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.core.sdp import sdp_terms
+from repro.core.sdp import sdp_kernel, sdp_terms
 from repro.network import (
     analyze_switch,
     compile_pair_sweep,
@@ -104,6 +104,7 @@ def _clear_sdp_caches() -> None:
     _exact_unavailability_cached.cache_clear()
     _sdp_expression_cached.cache_clear()
     _control_path_sets_cached.cache_clear()
+    sdp_kernel.cache_clear()
     sdp_terms.cache_clear()
 
 

@@ -17,9 +17,11 @@ from repro.core.kofn import a_m_of_n, a_m_of_n_array, kofn_unavailability
 from repro.core.blocks import Basic, Block, KOfN, Parallel, Series
 from repro.core.sdp import (
     SdpExpression,
+    SdpKernel,
     SdpTerm,
     canonical_path_sets,
     compile_sdp,
+    sdp_kernel,
     sdp_terms,
 )
 from repro.core.states import enumerate_up_down, weighted_condition
@@ -34,9 +36,11 @@ __all__ = [
     "Parallel",
     "KOfN",
     "SdpTerm",
+    "SdpKernel",
     "SdpExpression",
     "canonical_path_sets",
     "compile_sdp",
+    "sdp_kernel",
     "sdp_terms",
     "enumerate_up_down",
     "weighted_condition",

@@ -15,12 +15,14 @@ switch's control paths **once against the whole candidate pool** and turns
   may transit an unchosen site's router en route to a chosen one — the
   enumeration therefore continues through candidate sites instead of
   stopping at the first one reached;
-* terms are deduplicated across switches (a no-op on asymmetric graphs,
-  free when switches share path structure), and every (site-set, switch)
-  availability is then a handful of segmented array reductions
-  (:func:`repro.perf.vectorized.gather_segment_products` /
-  :func:`~repro.perf.vectorized.segment_sums`) over a factor matrix with
-  one row per site set.
+* each switch's memoized :class:`repro.core.sdp.SdpKernel` is remapped
+  from its local element columns to the plan's columns, terms are
+  deduplicated across switches (a no-op on asymmetric graphs, free when
+  switches share path structure), and every (site-set, switch)
+  availability is then the kernel's own gather and segmented product
+  (:func:`repro.core.sdp.term_products`) over a factor matrix with one
+  :func:`~repro.core.sdp.factor_layout` column per site set, followed by
+  a per-switch :func:`~repro.perf.vectorized.segment_sums`.
 
 The result is exact — identical (to float rounding) to calling
 :func:`repro.network.paths.exact_control_path_unavailability` per pair —
@@ -36,12 +38,17 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.sdp import canonical_path_sets, sdp_terms
+from repro.core.sdp import (
+    canonical_path_sets,
+    factor_layout,
+    sdp_kernel,
+    term_products,
+)
 from repro.errors import NetworkError
 from repro.network.graph import NetworkGraph, NetworkLink
 from repro.network.paths import _prune
 from repro.obs import telemetry
-from repro.perf.vectorized import gather_segment_products, segment_sums
+from repro.perf.vectorized import segment_sums
 from repro.units import check_probability
 
 __all__ = [
@@ -203,10 +210,8 @@ class PairSweepPlan:
     _baseline: np.ndarray
     _ctrl_column: Mapping[str, int]
     _element_column: Mapping[str, int]
-    _up_indices: np.ndarray
-    _up_offsets: np.ndarray
-    _down_indices: np.ndarray
-    _down_offsets: np.ndarray
+    _indices: np.ndarray
+    _starts: np.ndarray
     _switch_term_ids: np.ndarray
     _switch_offsets: np.ndarray
 
@@ -260,15 +265,10 @@ class PairSweepPlan:
         resolved = tuple(tuple(sites) for sites in site_sets)
         if not resolved:
             raise NetworkError("need at least one site set to evaluate")
-        factors = self._factor_rows(resolved, availability)
-        up = gather_segment_products(
-            factors, self._up_indices, self._up_offsets
-        )
-        down = gather_segment_products(
-            1.0 - factors, self._down_indices, self._down_offsets
-        )
+        factors = factor_layout(self._factor_rows(resolved, availability).T)
+        products = term_products(factors, self._indices, self._starts).T
         per_switch = segment_sums(
-            np.take(up * down, self._switch_term_ids, axis=-1),
+            np.take(products, self._switch_term_ids, axis=-1),
             self._switch_offsets,
         )
         telemetry.emit(
@@ -293,11 +293,12 @@ def compile_pair_sweep(
     """Compile one graph's (switch, site-set) sweep into array form.
 
     Enumerates each switch's candidate-pool path sets once, disjoints them
-    once (:func:`repro.core.sdp.sdp_terms`), deduplicates identical terms
-    across switches, and flattens the survivors into the index/offset
-    arrays :meth:`PairSweepPlan.evaluate` reduces over.  ``switches``
-    defaults to every switch in the graph, ``candidates`` to every site
-    node.
+    once (:func:`repro.core.sdp.sdp_kernel`), remaps each kernel's gather
+    indices from its sorted local elements to the plan's columns,
+    deduplicates identical terms across switches, and concatenates the
+    survivors into the index/start arrays :meth:`PairSweepPlan.evaluate`
+    reduces over.  ``switches`` defaults to every switch in the graph,
+    ``candidates`` to every site node.
     """
     chosen_switches, pool = _check_pool(graph, switches, candidates)
     element_names = tuple(graph.availability_map())
@@ -311,41 +312,36 @@ def compile_pair_sweep(
     for name in element_names:
         baseline[column_of[name]] = availability_map[name]
 
-    unique_ids: dict[tuple[frozenset[str], frozenset[str]], int] = {}
-    unique_terms: list[tuple[frozenset[str], frozenset[str]]] = []
+    # A term is its run of plan factor indices: the kernels list each
+    # term's elements in sorted-name order, so equal terms of different
+    # switches remap to equal runs.
+    unique_ids: dict[tuple[int, ...], int] = {}
+    indices: list[int] = []
+    starts: list[int] = []
     switch_term_ids: list[int] = []
     switch_offsets = [0]
-    total_terms = 0
     for switch in chosen_switches:
-        paths = _indicator_path_sets_cached(graph, switch, pool)
-        for term in sdp_terms(paths):
-            key = (term.up, term.down)
-            uid = unique_ids.get(key)
-            if uid is None:
-                uid = len(unique_terms)
-                unique_ids[key] = uid
-                unique_terms.append(key)
+        kernel = sdp_kernel(_indicator_path_sets_cached(graph, switch, pool))
+        flat = kernel.remap(
+            (column_of[name] for name in kernel.names), len(columns)
+        ).tolist()
+        bounds = [*kernel.starts.tolist(), len(flat)]
+        for start, stop in zip(bounds, bounds[1:]):
+            run = tuple(flat[start:stop])
+            uid = unique_ids.setdefault(run, len(unique_ids))
+            if uid == len(starts):
+                starts.append(len(indices))
+                indices.extend(run)
             switch_term_ids.append(uid)
-            total_terms += 1
         switch_offsets.append(len(switch_term_ids))
-
-    up_indices: list[int] = []
-    up_offsets = [0]
-    down_indices: list[int] = []
-    down_offsets = [0]
-    for up, down in unique_terms:
-        up_indices.extend(sorted(column_of[name] for name in up))
-        up_offsets.append(len(up_indices))
-        down_indices.extend(sorted(column_of[name] for name in down))
-        down_offsets.append(len(down_indices))
 
     plan = PairSweepPlan(
         graph=graph,
         switches=chosen_switches,
         candidates=pool,
         columns=columns,
-        unique_terms=len(unique_terms),
-        total_terms=total_terms,
+        unique_terms=len(starts),
+        total_terms=len(switch_term_ids),
         _baseline=baseline,
         _ctrl_column={
             site: column_of[CTRL_PREFIX + site] for site in pool
@@ -353,10 +349,8 @@ def compile_pair_sweep(
         _element_column={
             name: column_of[name] for name in element_names
         },
-        _up_indices=np.asarray(up_indices, dtype=np.intp),
-        _up_offsets=np.asarray(up_offsets, dtype=np.intp),
-        _down_indices=np.asarray(down_indices, dtype=np.intp),
-        _down_offsets=np.asarray(down_offsets, dtype=np.intp),
+        _indices=np.asarray(indices, dtype=np.intp),
+        _starts=np.asarray(starts, dtype=np.intp),
         _switch_term_ids=np.asarray(switch_term_ids, dtype=np.intp),
         _switch_offsets=np.asarray(switch_offsets, dtype=np.intp),
     )

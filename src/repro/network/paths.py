@@ -341,7 +341,7 @@ def _paths_lower_bound(
     total = 0.0
     for path in paths:
         term = 1.0
-        for name in path:
+        for name in sorted(path):  # fixed order: hash-seed independent
             term *= availability[name]
         total += term
     return max(0.0, 1.0 - total)

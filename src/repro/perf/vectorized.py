@@ -19,11 +19,9 @@ weight through :func:`repro.core.kofn.binomial_pmf_array`:
   vectorized paths agree to ~1 ulp; tested to 1e-12);
 * :func:`sweep_vectorized` — the generic sweep harness for caller-supplied
   array evaluators;
-* :func:`segment_products` / :func:`segment_sums` /
-  :func:`gather_segment_products` — ragged-segment reductions over the
-  last axis, the primitives the batched network sweeps
-  (:mod:`repro.network.batch`) use to evaluate thousands of
-  sum-of-disjoint-products terms as a handful of array ops.
+* :func:`segment_sums` — ragged-segment sums over the last axis, which
+  the batched network sweeps (:mod:`repro.network.batch`) use to fold
+  per-term probabilities into per-switch availabilities.
 
 All array math is elementwise, so a value at one grid point is exactly the
 value the same inputs would produce at any other grid position or chunk
@@ -63,9 +61,7 @@ __all__ = [
     "fig4_series_vectorized",
     "fig5_series_vectorized",
     "sweep_vectorized",
-    "segment_products",
     "segment_sums",
-    "gather_segment_products",
 ]
 
 
@@ -86,62 +82,25 @@ def _check_offsets(offsets: np.ndarray, length: int) -> np.ndarray:
     return offsets
 
 
-def _segment_reduce(
-    ufunc: np.ufunc, identity: float, values: np.ndarray, offsets: np.ndarray
-) -> np.ndarray:
+def segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Sums of consecutive ragged segments along the last axis.
+
+    ``offsets`` has one more entry than there are segments; segment ``j``
+    is ``values[..., offsets[j]:offsets[j+1]]``.  Empty segments produce
+    the empty sum, 0.0.  Leading axes broadcast through — a matrix of
+    per-scenario rows reduces every row with one call.
+    """
     values = np.asarray(values, dtype=float)
     offsets = _check_offsets(offsets, values.shape[-1])
-    segments = offsets.size - 1
-    out = np.full(values.shape[:-1] + (segments,), identity)
-    if segments == 0:
-        return out
+    out = np.zeros(values.shape[:-1] + (offsets.size - 1,))
     lengths = np.diff(offsets)
     starts = offsets[:-1][lengths > 0]
     if starts.size:
         # Dropping empty segments keeps the surviving starts strictly
         # increasing, so reduceat's segment boundaries stay correct; empty
-        # segments keep the identity value.
-        out[..., lengths > 0] = ufunc.reduceat(values, starts, axis=-1)
+        # segments keep the empty sum.
+        out[..., lengths > 0] = np.add.reduceat(values, starts, axis=-1)
     return out
-
-
-def segment_products(
-    values: np.ndarray, offsets: np.ndarray
-) -> np.ndarray:
-    """Products of consecutive ragged segments along the last axis.
-
-    ``offsets`` has one more entry than there are segments; segment ``j``
-    is ``values[..., offsets[j]:offsets[j+1]]``.  Empty segments produce
-    the empty product, 1.0.  Leading axes broadcast through — a matrix of
-    per-scenario factor rows reduces every row with one call.
-    """
-    return _segment_reduce(np.multiply, 1.0, values, offsets)
-
-
-def segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Sums of consecutive ragged segments along the last axis.
-
-    Same segment convention as :func:`segment_products`; empty segments
-    produce the empty sum, 0.0.
-    """
-    return _segment_reduce(np.add, 0.0, values, offsets)
-
-
-def gather_segment_products(
-    factors: np.ndarray, indices: np.ndarray, offsets: np.ndarray
-) -> np.ndarray:
-    """Segment products of ``factors`` gathered through a flat index array.
-
-    Segment ``j``'s product is over ``factors[..., indices[k]]`` for
-    ``offsets[j] <= k < offsets[j+1]`` — the shape of a compiled
-    sum-of-disjoint-products term list, where ``indices`` concatenates
-    every term's element indices and ``offsets`` delimits terms.
-    """
-    indices = np.asarray(indices, dtype=np.intp)
-    if indices.ndim != 1:
-        raise ParameterError("indices must be a 1-D integer array")
-    gathered = np.take(np.asarray(factors, dtype=float), indices, axis=-1)
-    return segment_products(gathered, offsets)
 
 
 # -- HW-centric closed forms over arrays (section V) ---------------------------

@@ -22,11 +22,13 @@ factored evaluator, the optimizer's tie-breaking, or the event stream
 fails loudly.  Regenerate (and commit the diff) only when a change is
 *supposed* to alter these numbers, and say why in the commit message.
 
-The SDP evaluator's term order follows set iteration over string keys,
-so the last bits of its floats depend on the interpreter's string-hash
-seed.  Run as a script, the module therefore re-executes itself under
-:data:`PINNED_HASH_SEED`, making regeneration byte-reproducible;
-:func:`main` called in-process keeps the ambient seed.
+The analysis numbers multiply in sorted-name order, so they no longer
+depend on the interpreter's string-hash seed
+(``tests/test_network_determinism.py`` checks this across two seeds).
+Run as a script, the module still re-executes itself under
+:data:`PINNED_HASH_SEED`, so regeneration stays byte-reproducible even if
+some future output picks up set-iteration order; :func:`main` called
+in-process keeps the ambient seed.
 """
 
 from __future__ import annotations

@@ -5,7 +5,9 @@ monotone union of path sets, so the wall here is brute-force state
 enumeration over random path-set collections (hypothesis), plus the
 structural invariants the disjointing is supposed to guarantee: pairwise
 disjoint terms, canonical shortest-first ordering, superset elimination,
-memoized compiles, and the textbook bridge-network expansion.
+memoized compiles, and the textbook bridge-network expansion.  The
+compiled index-array kernel is also pinned term for term against a
+frozenset-algebra rendering of the same disjointing.
 """
 
 from __future__ import annotations
@@ -13,13 +15,14 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.sdp import (
     SdpTerm,
     canonical_path_sets,
     compile_sdp,
+    sdp_kernel,
     sdp_terms,
 )
 from repro.errors import ModelError
@@ -98,6 +101,120 @@ class TestAgainstBruteForce:
         assert expression.unavailability(probabilities) == pytest.approx(
             1.0 - expression.availability(probabilities), abs=TOL
         )
+
+
+WIDE = tuple(f"x{i}" for i in range(10))
+
+
+@st.composite
+def path_families(draw):
+    """0-8 random path sets over up to 10 elements; probabilities favour
+    the exact endpoints 0.0 and 1.0 alongside arbitrary values."""
+    names = WIDE[: draw(st.integers(min_value=1, max_value=len(WIDE)))]
+    paths = draw(
+        st.lists(
+            st.frozensets(st.sampled_from(names), min_size=1, max_size=4),
+            max_size=8,
+        )
+    )
+    probabilities = {
+        name: draw(
+            st.one_of(
+                st.sampled_from((0.0, 1.0)),
+                st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+            )
+        )
+        for name in names
+    }
+    return names, paths, probabilities
+
+
+def reference_terms(paths) -> tuple[SdpTerm, ...]:
+    """Abraham single-variable inversion in plain frozenset algebra.
+
+    The same disjointing as :func:`repro.core.sdp.sdp_kernel` — canonical
+    path order, earlier paths in order, split elements in sorted-name
+    order — so its terms must match the kernel's one for one, in order.
+    """
+    terms = []
+    for index, path in enumerate(paths):
+        partial = [(path, frozenset())]
+        for previous in paths[:index]:
+            split = []
+            for up, down in partial:
+                if previous & down:
+                    split.append((up, down))
+                    continue
+                for name in sorted(previous - up):
+                    split.append((up, down | {name}))
+                    up = up | {name}
+            partial = split
+        terms.extend(SdpTerm(up, down) for up, down in partial)
+    return tuple(terms)
+
+
+class TestKernel:
+    @given(family=path_families())
+    @settings(max_examples=150, deadline=None)
+    @example(family=(WIDE[:1], [], {"x0": 0.5}))
+    @example(
+        family=(
+            WIDE[:3],
+            [frozenset({"x0"}), frozenset({"x1"}), frozenset({"x2"})],
+            {"x0": 0.0, "x1": 1.0, "x2": 0.25},
+        )
+    )
+    def test_availability_matches_state_enumeration(self, family):
+        names, paths, probabilities = family
+        expression = compile_sdp(paths)
+        expected = brute_force_availability(names, paths, probabilities)
+        assert expression.availability(probabilities) == pytest.approx(
+            expected, abs=TOL
+        )
+        if not paths:
+            assert expression.availability(probabilities) == 0.0
+
+    @given(family=path_families())
+    @settings(max_examples=100, deadline=None)
+    def test_terms_match_frozenset_disjointing(self, family):
+        _, paths, _ = family
+        expression = compile_sdp(paths)
+        terms = expression.terms
+        assert expression.term_count == len(terms)
+        assert terms == reference_terms(expression.paths)
+        assert terms == sdp_terms(expression.paths)
+        for a, b in itertools.combinations(terms, 2):
+            assert (a.up & b.down) or (b.up & a.down), (a, b)
+        if terms:
+            # The first path's term is the path itself: nothing down.
+            assert terms[0] == SdpTerm(up=expression.paths[0], down=frozenset())
+
+    @given(family=path_families())
+    @settings(max_examples=100, deadline=None)
+    def test_index_layout(self, family):
+        """Each term: ascending up indices, ascending down indices
+        shifted by ``n``, then the ``2n`` sentinel — nothing else."""
+        _, paths, _ = family
+        kernel = sdp_kernel(canonical_path_sets(paths))
+        n = len(kernel.names)
+        assert list(kernel.names) == sorted(kernel.names)
+        bounds = [*kernel.starts.tolist(), len(kernel.indices)]
+        for start, stop in zip(bounds, bounds[1:]):
+            run = kernel.indices[start:stop].tolist()
+            assert run[-1] == 2 * n
+            body = run[:-1]
+            assert body == sorted(set(body))
+            assert all(index < 2 * n for index in body)
+            up = {index for index in body if index < n}
+            assert up.isdisjoint(index - n for index in body if index >= n)
+
+    def test_single_element_paths(self):
+        expression = compile_sdp([{"b"}, {"a"}])
+        assert expression.terms == (
+            SdpTerm(up=frozenset({"a"}), down=frozenset()),
+            SdpTerm(up=frozenset({"b"}), down=frozenset({"a"})),
+        )
+        assert expression.availability({"a": 0.5, "b": 0.5}) == 0.75
 
 
 class TestBridgeNetwork:

@@ -124,6 +124,63 @@ class TestPlacementGolden:
                 assert _close(value, expected["per_switch"][switch])
 
 
+#: Prints ``repr`` of every reference-graph analysis number, one line per
+#: switch: run under two string-hash seeds, the outputs must be equal.
+_HASH_SEED_PROBE = """
+from repro.network import analyze_switch
+from repro.topology.network_reference import reference_network
+
+for name, order in (
+    ("line", None), ("ring", None), ("fat_tree", None), ("backbone", None),
+    ("two_tier", 2),
+):
+    graph = reference_network(name)
+    for switch in graph.switches:
+        a = analyze_switch(graph, switch, max_order=order)
+        print(name, switch, repr(a.unavailability),
+              repr(a.path_lower_bound), repr(a.union_bound))
+"""
+
+
+class TestHashSeedIndependence:
+    def test_analyses_are_byte_identical_across_hash_seeds(self):
+        """No analysis number may depend on ``PYTHONHASHSEED``: products
+        multiply in sorted-name order, never frozenset iteration order."""
+        root = Path(__file__).resolve().parent.parent
+        runs = []
+        try:
+            for hash_seed in ("1", "2"):
+                env = {
+                    **os.environ,
+                    "PYTHONHASHSEED": hash_seed,
+                    "PYTHONPATH": os.pathsep.join(
+                        [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+                    ),
+                }
+                runs.append(
+                    subprocess.Popen(
+                        [sys.executable, "-c", _HASH_SEED_PROBE],
+                        cwd=root, env=env, text=True,
+                        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                    )
+                )
+            outputs = []
+            for run in runs:
+                stdout, stderr = run.communicate(timeout=300)
+                assert run.returncode == 0, stderr
+                outputs.append(stdout)
+        finally:
+            for run in runs:
+                run.kill()  # no-op for a process that already exited
+                run.wait()
+        switches = sum(
+            len(NETWORK_REFERENCE_BUILDERS[name]().switches)
+            for name in ("line", "ring", "fat_tree", "backbone", "two_tier")
+        )
+        assert len(outputs[0].splitlines()) == switches
+        assert outputs[0] == outputs[1]
+
+
 class TestCampaignBitIdentical:
     def test_matches_fixture_bit_for_bit(self, fixture):
         pinned = fixture["campaign"]
