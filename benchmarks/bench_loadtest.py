@@ -9,21 +9,20 @@ Two measurements, appended as a ``serve_loadtest`` section to
   mix of hardware / option / network queries plus small campaign jobs,
   offered on a clock (open loop) rather than on completions.  The run
   must finish with **zero transport errors and zero 5xx**, and the
-  latency-attribution segments (queue-wait / cache / batch-assembly /
-  kernel-compute / other) must sum to the server's request-latency
+  latency-attribution segments (cache / batch-assembly / kernel-compute
+  / other) must sum to the server's request-latency
   histogram total within ``COVERAGE_TOLERANCE`` — every request's
   segments tile its wall time by construction, so drift here means the
   attribution plumbing double-counted or dropped a segment.
 
 * **Tracing-overhead gate** — runs the same Monte-Carlo campaign through
   the warm process pool twice, once bare and once inside an active
-  :func:`repro.obs.trace.trace_scope` (which ships the trace context into
-  every worker payload and rides worker spans back on the result
-  channel).  The two results must be **bit-identical** (trace ids come
-  from ``os.urandom``, never the seeded RNGs) and the traced run must
-  cost less than ``OVERHEAD_CEILING`` extra wall time — best-of-repeats,
-  gated on ``os.cpu_count()`` like the other smokes because single-core
-  wall clocks are too noisy to gate on.
+  :func:`repro.obs.trace.trace_scope` (the ambient request context the
+  service installs per request and per job).  The two results must be
+  **bit-identical** (trace ids come from ``os.urandom``, never the seeded
+  RNGs) and the traced run must cost less than ``OVERHEAD_CEILING`` extra
+  wall time — best-of-repeats, gated on ``os.cpu_count()`` like the other
+  smokes because single-core wall clocks are too noisy to gate on.
 
 Runnable as a pytest benchmark *or* directly as a script —
 ``python benchmarks/bench_loadtest.py --requests 120 --check`` is the CI

@@ -17,7 +17,8 @@ drives it over keep-alive HTTP, appending a ``serve`` section to
   and polled to completion, with the result checked ``==``-identical to
   the in-process CLI path (:func:`repro.reporting.faults.crossval_payload`
   over :func:`repro.faults.crossval.evaluate_campaign`);
-* clean shutdown: SIGINT must exit 0 and print the shutdown line.
+* clean shutdown: SIGINT must exit 0, print the shutdown line, and
+  print no ``Traceback``.
 
 The cached path must beat the cold path by >= ``CACHED_SPEEDUP_FLOOR``
 in QPS — the point of serving results out of a cache at all.  Runnable as
@@ -181,7 +182,10 @@ def run_serve_bench(cold: int = 30, cached: int = 300) -> dict:
     finally:
         shutdown_output = server.shutdown()
 
-    clean = "server shutdown clean" in shutdown_output
+    clean = (
+        "server shutdown clean" in shutdown_output
+        and "Traceback" not in shutdown_output
+    )
     return {
         "seed": BENCH_SEED,
         "cpus": os.cpu_count() or 1,
@@ -279,7 +283,8 @@ def main(argv: list[str] | None = None) -> int:
         "--check",
         action="store_true",
         help=(
-            "fail unless the job matches the CLI path, shutdown is clean, "
+            "fail unless the job matches the CLI path, shutdown is clean "
+            "(exit 0, shutdown line, no traceback), "
             f"and cached QPS >= {CACHED_SPEEDUP_FLOOR:.0f}x cold QPS"
         ),
     )

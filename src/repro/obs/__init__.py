@@ -1,17 +1,22 @@
 """Observability layer: tracing, metrics, manifests, telemetry, forensics.
 
-Five pieces, built to be *zero-cost when disabled* and to never perturb
+The pieces are built to be *zero-cost when disabled* and to never perturb
 results (instrumented runs are bit-identical to uninstrumented ones):
 
-* :mod:`repro.obs.trace` — span-based tracer (context manager + decorator,
-  monotonic timings, nesting);
+* :mod:`repro.obs.trace` — the span tracer (monotonic timings, nesting)
+  and :class:`TraceContext`, the one ambient request/job context: trace
+  ids, a job id, and the request's latency ledger, installed with
+  :func:`trace_scope`;
 * :mod:`repro.obs.metrics` — counters, gauges, and timing histograms;
 * :mod:`repro.obs.manifest` — :class:`RunManifest`, the JSON-round-tripping
   provenance record (params hash, topology, seed material, package version,
   solver path, per-phase timings) of one run;
 * :mod:`repro.obs.telemetry` — streaming event bus with pluggable sinks
   (rotating JSONL, in-process aggregation, Prometheus/OpenMetrics text
-  snapshots) carrying progress/heartbeat and metric-snapshot events;
+  snapshots) carrying progress/heartbeat and metric-snapshot events, each
+  stamped with the ids of the trace context in scope;
+* :mod:`repro.obs.slo` — rolling availability/latency objectives with
+  burn rate and error budget;
 * :mod:`repro.obs.forensics` — cross-checks simulated per-outage
   attribution ledgers against analytic Birnbaum / Fussell–Vesely
   importance (imported lazily — ``from repro.obs import forensics`` — to
@@ -44,14 +49,12 @@ from repro.obs.runtime import (
     span,
     start,
     stop,
-    traced,
 )
 from repro.obs.slo import SLOConfig, SLOTracker
 from repro.obs.telemetry import (
     TELEMETRY_SCHEMA_VERSION,
     AggregatorSink,
     JsonlSink,
-    NullSink,
     PrometheusSink,
     ProgressTracker,
     TelemetryBus,
@@ -95,7 +98,6 @@ __all__ = [
     "enabled",
     "session",
     "span",
-    "traced",
     "count",
     "gauge",
     "observe",
@@ -104,7 +106,6 @@ __all__ = [
     # telemetry
     "TELEMETRY_SCHEMA_VERSION",
     "TelemetryBus",
-    "NullSink",
     "JsonlSink",
     "AggregatorSink",
     "PrometheusSink",

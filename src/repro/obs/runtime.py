@@ -31,9 +31,8 @@ identical no matter where it runs.
 
 from __future__ import annotations
 
-import functools
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
 from repro.errors import ObservabilityError
 from repro.obs.manifest import PhaseTiming, RunManifest
@@ -48,7 +47,6 @@ __all__ = [
     "enabled",
     "session",
     "span",
-    "traced",
     "count",
     "gauge",
     "observe",
@@ -176,25 +174,6 @@ def span(name: str, **attrs: Any):
     if current is None:
         return _NULL_SPAN
     return current.tracer.span(name, **attrs)
-
-
-def traced(name: str | None = None) -> Callable:
-    """Decorator: time calls as spans whenever a session is active."""
-
-    def decorate(fn: Callable) -> Callable:
-        span_name = name or fn.__qualname__
-
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            current = _session
-            if current is None:
-                return fn(*args, **kwargs)
-            with current.tracer.span(span_name):
-                return fn(*args, **kwargs)
-
-        return wrapper
-
-    return decorate
 
 
 def count(name: str, amount: float = 1.0) -> None:

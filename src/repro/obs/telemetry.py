@@ -16,8 +16,10 @@ active :class:`TelemetryBus` fans it out to whatever sinks were attached —
 Every event carries ``schema`` (:data:`TELEMETRY_SCHEMA_VERSION`), a
 monotonic per-bus ``seq``, a per-bus ``run`` id (derived from the file
 tail when appending, so restarted runs stay ordered), a wall-clock ``t``,
-and its ``kind``; the rest of the fields are event-specific (see
-``docs/OBSERVABILITY.md``).
+and its ``kind``; an event emitted inside a
+:func:`~repro.obs.trace.trace_scope` also carries that context's
+``trace_id`` / ``span_id`` (and ``job_id`` for a job's context).  The rest
+of the fields are event-specific (see ``docs/OBSERVABILITY.md``).
 
 The zero-cost-when-disabled discipline of :mod:`repro.obs.runtime` holds
 here too: with no bus active — the default — :func:`emit` is a single
@@ -31,22 +33,20 @@ the *parent* out of worker-side data riding the existing
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import threading
 import time
-from contextvars import ContextVar
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping
 from urllib.parse import urlsplit
 
 from repro.errors import ObservabilityError
 from repro.obs.metrics import HISTOGRAM_BUCKET_BOUNDS
+from repro.obs.trace import current_trace
 
 __all__ = [
     "TELEMETRY_SCHEMA_VERSION",
-    "NullSink",
     "JsonlSink",
     "AggregatorSink",
     "PrometheusSink",
@@ -57,8 +57,6 @@ __all__ = [
     "follow_events",
     "follow_sse",
     "render_event",
-    "scope",
-    "scope_fields",
     "start",
     "stop",
     "active",
@@ -69,21 +67,6 @@ __all__ = [
 #: Version stamped into every event's ``schema`` field.  Bump when an
 #: existing field changes meaning; adding fields is not a bump.
 TELEMETRY_SCHEMA_VERSION = 1
-
-
-class NullSink:
-    """Shared no-op sink (the disabled-mode placeholder)."""
-
-    __slots__ = ()
-
-    def emit(self, event: Mapping[str, Any]) -> None:
-        return None
-
-    def close(self) -> None:
-        return None
-
-
-NULL_SINK = NullSink()
 
 
 def _read_last_run(path: Path) -> int | None:
@@ -324,37 +307,6 @@ class PrometheusSink:
         return None
 
 
-#: Ambient fields merged into every event emitted within a
-#: :func:`scope` — how the serving layer stamps ``trace_id``/``job_id``
-#: onto events emitted deep inside campaign code without threading the ids
-#: through every call signature.  A :class:`~contextvars.ContextVar`, so
-#: scopes follow ``await`` chains and ``asyncio.to_thread`` hops.
-_SCOPE_FIELDS: ContextVar[tuple[tuple[str, Any], ...]] = ContextVar(
-    "telemetry_scope_fields", default=()
-)
-
-
-@contextlib.contextmanager
-def scope(**fields: Any) -> Iterator[None]:
-    """Merge ``fields`` into every event emitted within the body.
-
-    Scopes nest (inner values win on key collision) and explicit
-    ``emit(...)`` fields win over scoped ones.  The scope is ambient
-    context-local state: it costs one ContextVar set/reset regardless of
-    whether a bus is active, and nothing while no event is emitted.
-    """
-    token = _SCOPE_FIELDS.set(_SCOPE_FIELDS.get() + tuple(fields.items()))
-    try:
-        yield
-    finally:
-        _SCOPE_FIELDS.reset(token)
-
-
-def scope_fields() -> dict[str, Any]:
-    """The ambient fields the current :func:`scope` stack would stamp."""
-    return dict(_SCOPE_FIELDS.get())
-
-
 class TelemetryBus:
     """Fan-out of structured events to the attached sinks.
 
@@ -385,7 +337,14 @@ class TelemetryBus:
         self._lock = threading.Lock()
 
     def emit(self, kind: str, **fields: Any) -> dict[str, Any]:
-        scoped = _SCOPE_FIELDS.get()
+        """Stamp, sequence, and fan out one event; returns the event.
+
+        Inside a :func:`~repro.obs.trace.trace_scope` the event carries
+        the context's ids (:meth:`~repro.obs.trace.TraceContext.stamp`),
+        which is how one job's events are filterable out of a shared
+        stream; explicit ``fields`` win over stamped ones.
+        """
+        trace = current_trace()
         with self._lock:
             event = {
                 "schema": TELEMETRY_SCHEMA_VERSION,
@@ -394,8 +353,8 @@ class TelemetryBus:
                 "t": time.time(),
                 "kind": kind,
             }
-            for key, value in scoped:
-                event[key] = value
+            if trace is not None:
+                event.update(trace.stamp())
             event.update(fields)
             self._seq += 1
             for sink in self.sinks:

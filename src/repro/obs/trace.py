@@ -5,12 +5,8 @@ complete.  Spans nest: a span opened while another is active records that
 span as its parent, so the collected list reconstructs the call tree of an
 instrumented run.  Timings come from ``time.perf_counter`` (monotonic, not
 wall-clock), expressed relative to the tracer's creation so a trace is
-self-contained.
-
-Two entry styles are provided, mirroring the usual tracing APIs:
-
-* context manager — ``with tracer.span("engine.evaluate", roles=3): ...``
-* decorator — ``@tracer.wrap("mc.chunk")`` times every call of a function.
+self-contained.  Open a span with ``with tracer.span("engine.evaluate",
+roles=3): ...``.
 
 Tracers only *observe*: they never touch random state and attach no
 behavior to the traced code, which is what lets the determinism tests
@@ -18,26 +14,28 @@ demand bit-identical results with tracing on and off.  Most code should not
 hold a tracer directly but go through :mod:`repro.obs.runtime`, whose
 module-level helpers collapse to no-ops when no session is active.
 
-Alongside in-process spans this module carries the *cross-boundary* trace
-context: :class:`TraceContext` is a W3C-``traceparent``-shaped
-``(trace_id, span_id, parent_span_id)`` triple assigned per HTTP request
-by :mod:`repro.serve.app`, installed with :func:`trace_scope` (a
-:mod:`contextvars` scope, so it follows ``await`` chains and
-``asyncio.to_thread`` hops), and shipped as a plain dict across the
-process-pool boundary by :func:`repro.perf.parallel.dispatch_chunks`.  Ids
-come from ``os.urandom`` — never from the seeded simulation generators —
-so installing, propagating, or dropping a context cannot perturb results.
+Alongside in-process spans this module carries the one *ambient* request
+context of the program: a :class:`TraceContext` is a
+W3C-``traceparent``-shaped ``(trace_id, span_id, parent_span_id)`` triple
+assigned per HTTP request by :mod:`repro.serve.app` (or per campaign job
+by :mod:`repro.serve.jobs`, with its ``job_id``), plus that request's
+latency ledger.  :func:`trace_scope` installs it as a :mod:`contextvars`
+scope, so it follows ``await`` chains and ``asyncio.to_thread`` hops: the
+cache and micro-batcher attribute latency segments to it, and
+:meth:`repro.obs.telemetry.TelemetryBus.emit` stamps its ids onto every
+event emitted inside it.  Process-pool workers never see it.  Ids come
+from ``os.urandom`` — never from the seeded simulation generators — so
+installing or dropping a context cannot perturb results.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import os
 import time
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterator
 
 __all__ = [
     "Span",
@@ -64,28 +62,45 @@ def new_span_id() -> str:
 class TraceContext:
     """One position in a distributed trace (W3C trace-context shaped).
 
+    The ids are fixed; the latency ledger (``segments``, ``annotations``)
+    fills in while the request runs and takes no part in equality.
+
     Attributes:
         trace_id: 32-hex-char id shared by every span of one request.
         span_id: 16-hex-char id of the current span.
         parent_span_id: the span this one was forked from, or ``None``
             at the root (the HTTP request itself).
+        job_id: the campaign job this span executes, or ``None``.
+        segments: seconds of wall time attributed per named segment.
+        annotations: small JSON-serializable facts (cache owner, batch
+            size) embedded in the response's ``trace`` section.
     """
 
     trace_id: str
     span_id: str
     parent_span_id: str | None = None
+    job_id: str | None = None
+    segments: dict[str, float] = field(
+        default_factory=dict, compare=False, repr=False
+    )
+    annotations: dict[str, Any] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     @classmethod
-    def new(cls) -> "TraceContext":
+    def new(cls, job_id: str | None = None) -> "TraceContext":
         """A fresh root context (new trace id, new span id, no parent)."""
-        return cls(trace_id=new_trace_id(), span_id=new_span_id())
+        return cls(
+            trace_id=new_trace_id(), span_id=new_span_id(), job_id=job_id
+        )
 
-    def child(self) -> "TraceContext":
+    def child(self, job_id: str | None = None) -> "TraceContext":
         """A child context: same trace, new span, parented to this one."""
         return TraceContext(
             trace_id=self.trace_id,
             span_id=new_span_id(),
             parent_span_id=self.span_id,
+            job_id=job_id,
         )
 
     @property
@@ -119,24 +134,47 @@ class TraceContext:
             parent_span_id=span_id.lower(),
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
+    def stamp(self) -> dict[str, str]:
+        """The fields stamped onto telemetry events emitted in scope."""
+        fields = {"trace_id": self.trace_id, "span_id": self.span_id}
+        if self.job_id is not None:
+            fields["job_id"] = self.job_id
+        return fields
+
+    def add_segment(self, name: str, seconds: float) -> None:
+        """Attribute ``seconds`` of this request's wall time to ``name``."""
+        if seconds > 0.0:
+            self.segments[name] = self.segments.get(name, 0.0) + seconds
+
+    def annotate(self, **fields: Any) -> None:
+        """Attach small JSON-serializable facts to the ``trace`` payload."""
+        self.annotations.update(fields)
+
+    def finalize(self, total_seconds: float) -> dict[str, float]:
+        """Close the books: add the ``other`` residual and return segments.
+
+        The residual is clamped at zero, so double-counted segments (a
+        bug) show up as segments summing to *more* than the wall latency —
+        the property the loadtest's coverage check enforces from outside.
+        """
+        named = sum(self.segments.values())
+        self.add_segment("other", total_seconds - named)
+        return dict(self.segments)
+
+    def payload(self) -> dict[str, Any]:
+        """The ``trace`` section embedded in query responses."""
+        record: dict[str, Any] = {
             "trace_id": self.trace_id,
             "span_id": self.span_id,
-            "parent_span_id": self.parent_span_id,
+            "segments": {
+                name: round(seconds, 9)
+                for name, seconds in sorted(self.segments.items())
+            },
         }
-
-    @classmethod
-    def from_dict(cls, record: Mapping[str, Any]) -> "TraceContext":
-        return cls(
-            trace_id=str(record["trace_id"]),
-            span_id=str(record["span_id"]),
-            parent_span_id=(
-                None
-                if record.get("parent_span_id") is None
-                else str(record["parent_span_id"])
-            ),
-        )
+        if self.parent_span_id:
+            record["parent_span_id"] = self.parent_span_id
+        record.update(self.annotations)
+        return record
 
 
 _CURRENT_TRACE: ContextVar[TraceContext | None] = ContextVar(
@@ -257,21 +295,6 @@ class Tracer:
     def span(self, name: str, **attrs: Any) -> _ActiveSpan:
         """Open a span: ``with tracer.span("phase", size=n): ...``."""
         return _ActiveSpan(self, name, attrs)
-
-    def wrap(self, name: str | None = None) -> Callable:
-        """Decorator timing every call of the wrapped function as a span."""
-
-        def decorate(fn: Callable) -> Callable:
-            span_name = name or fn.__qualname__
-
-            @functools.wraps(fn)
-            def wrapper(*args, **kwargs):
-                with self.span(span_name):
-                    return fn(*args, **kwargs)
-
-            return wrapper
-
-        return decorate
 
     @property
     def depth(self) -> int:

@@ -45,7 +45,7 @@ from repro.errors import ParameterError
 from repro.models.hw_closed import hw_large, hw_medium, hw_small
 from repro.obs import runtime as obs
 from repro.obs import telemetry
-from repro.obs.trace import Span, TraceContext, current_trace, trace_scope
+from repro.obs.trace import Span
 from repro.params.hardware import HardwareParams
 from repro.perf.vectorized import (
     hw_large_array,
@@ -529,30 +529,17 @@ def evaluate_chunk_captured(payload: tuple) -> tuple:
     channel, for the parent to merge in chunk-index order.  Warm pools
     reuse worker processes, so the session is always closed (try/finally)
     before the next chunk arrives.
-
-    The optional fourth payload element is a serialized
-    :class:`~repro.obs.trace.TraceContext` (the request trace of the
-    dispatch), installed for the chunk's duration so worker-side code
-    observes the same distributed trace the parent does.  Purely
-    observational: results are bit-identical with or without it.
     """
-    worker, items, chunk_index = payload[0], payload[1], payload[2]
-    trace_record = payload[3] if len(payload) > 3 else None
-    trace = (
-        TraceContext.from_dict(trace_record)
-        if trace_record is not None
-        else None
-    )
+    worker, items, chunk_index = payload
     # Fork-started workers inherit a *copy* of the parent's active session
     # (its recordings are invisible to the parent); drop it so the chunk's
     # metrics land in a registry of their own.
     obs.stop()
     session = obs.start(f"chunk:{chunk_index}")
     try:
-        with trace_scope(trace):
-            start = time.perf_counter()
-            results = [worker(item) for item in items]
-            seconds = time.perf_counter() - start
+        start = time.perf_counter()
+        results = [worker(item) for item in items]
+        seconds = time.perf_counter() - start
         snapshot = session.metrics.snapshot()
         spans = [
             span.to_dict()
@@ -600,10 +587,10 @@ def dispatch_chunks(pool, worker, items: Sequence, workers: int) -> tuple:
     merge into the parent session (counters add; gauges last-writer-wins
     in chunk-index order; histogram bins element-wise; worker spans fold
     in one depth level down) and a ``progress`` heartbeat plus a
-    ``metrics`` snapshot event are emitted per completed chunk.  The
-    ambient :class:`~repro.obs.trace.TraceContext` (if any) rides to the
-    workers as a plain dict.  With session and bus both disabled the plain
-    payload shape runs — the instrumentation costs nothing.
+    ``metrics`` snapshot event are emitted per completed chunk, in the
+    parent, so they carry the stamp of the caller's trace context.  With
+    session and bus both disabled the plain payload shape runs — the
+    instrumentation costs nothing.
     """
     items = list(items)
     chunks = split_chunks(items, workers)
@@ -620,12 +607,7 @@ def dispatch_chunks(pool, worker, items: Sequence, workers: int) -> tuple:
         if telemetry.enabled()
         else None
     )
-    context = current_trace()
-    trace_record = context.to_dict() if context is not None else None
-    payloads = [
-        (worker, chunk, index, trace_record)
-        for index, chunk in enumerate(chunks)
-    ]
+    payloads = [(worker, chunk, index) for index, chunk in enumerate(chunks)]
     collected = []
     for chunk_index, part, snapshot, seconds, spans in pool.map(
         evaluate_chunk_captured, payloads

@@ -15,8 +15,6 @@ questions on demand instead of per CLI invocation:
   shed overload with 429s;
 * :mod:`repro.serve.jobs` — the sharded campaign job queue (submit,
   poll), deterministic-identical to CLI runs;
-* :mod:`repro.serve.tracing` — per-request trace contexts and latency
-  attribution segments;
 * :mod:`repro.serve.stream` — server-sent-events fan-out of the live
   telemetry bus (``GET /v1/events``, ``GET /v1/jobs/<id>/events``);
 * :mod:`repro.serve.loadtest` — open-loop multi-tenant load generation
@@ -50,7 +48,6 @@ from repro.serve.protocol import (
     read_request,
 )
 from repro.serve.stream import TelemetryHub, encode_sse_event
-from repro.serve.tracing import RequestTrace, current_request, request_scope
 
 __all__ = [
     "AdmissionController",
@@ -69,12 +66,9 @@ __all__ = [
     "run_loadtest",
     "ProtocolError",
     "Request",
-    "RequestTrace",
     "Response",
     "StreamingResponse",
     "TelemetryHub",
-    "current_request",
     "encode_sse_event",
     "read_request",
-    "request_scope",
 ]

@@ -13,7 +13,7 @@ loop:
   results are deterministic-identical to CLI runs of the same spec.
 * **Observability** (``GET /metrics``, ``GET /v1/stats``) exposes request
   latency histograms, per-request latency-attribution segments
-  (queue-wait / cache / batch-assembly / kernel-compute / other), cache
+  (cache / batch-assembly / kernel-compute / other), cache
   hit/miss/eviction counters, batch sizes, queue-depth gauges, and the
   rolling :class:`~repro.obs.slo.SLOTracker` state as OpenMetrics text and
   JSON; when a telemetry bus is active the app also emits ``serve.*``
@@ -22,16 +22,21 @@ loop:
   file).
 * **Tracing** (every request) — a :class:`~repro.obs.trace.TraceContext`
   per request (continuing an inbound W3C ``traceparent`` when present),
-  installed as a contextvar scope so the cache, batcher, and job queue
-  attribute latency to the right request without new call signatures.
-  Responses carry ``X-Trace-Id``; query responses embed a ``trace``
-  section.  Tracing never touches computed values — instrumented results
-  are bit-identical to uninstrumented ones.
+  installed with :func:`~repro.obs.trace.trace_scope`, so the cache and
+  batcher add latency segments to the request's own ledger and the job
+  queue parents its jobs to it without new call signatures.  Responses
+  carry ``X-Trace-Id``; query responses embed a ``trace`` section.
+  Tracing never touches computed values — instrumented results are
+  bit-identical to uninstrumented ones.
 * **Streaming** (``GET /v1/events``, ``GET /v1/jobs/<id>/events``) —
   server-sent events fanned out from the live telemetry bus through
   :class:`~repro.serve.stream.TelemetryHub`; each frame's ``data:`` line
   is byte-identical to the :class:`~repro.obs.telemetry.JsonlSink` line
   for the same event, in the same ``(run, seq)`` order.
+* **Shutdown** — :meth:`ServeApp.stop` stops accepting, closes idle
+  keep-alive connections, lets in-flight requests answer (with
+  ``Connection: close``) and streams end with the hub, and cancels
+  whatever is still busy after :data:`SHUTDOWN_GRACE_SECONDS`.
 
 Everything is stdlib ``asyncio`` plus this package's own modules — no web
 framework.
@@ -52,7 +57,7 @@ from repro.obs import telemetry
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import SLOConfig, SLOTracker
 from repro.obs.telemetry import render_openmetrics
-from repro.obs.trace import TraceContext
+from repro.obs.trace import TraceContext, current_trace, trace_scope
 from repro.serve.admission import AdmissionController, AdmissionPolicy
 from repro.serve.batching import (
     DEFAULT_MAX_BATCH,
@@ -83,12 +88,6 @@ from repro.serve.stream import (
     TelemetryHub,
     encode_sse_event,
 )
-from repro.serve.tracing import (
-    SEGMENT_NAMES,
-    RequestTrace,
-    current_request,
-    request_scope,
-)
 
 __all__ = ["ServeConfig", "ServeApp"]
 
@@ -96,8 +95,19 @@ __all__ = ["ServeConfig", "ServeApp"]
 #: telemetry bus is active), plus once at shutdown.
 METRICS_EVERY_REQUESTS = 100
 
+#: How long :meth:`ServeApp.stop` lets busy connections finish (answer
+#: their request, end their stream) before cancelling them, so a client
+#: that stops reading cannot wedge shutdown.
+SHUTDOWN_GRACE_SECONDS = 5.0
+
 #: Terminal job states (a job event stream ends after these).
 _TERMINAL_STATES = ("done", "failed")
+
+#: The latency-attribution segments exported as ``serve.segment_seconds.*``
+#: histograms: time in the cache not spent computing (a hit's lookup, a
+#: coalesced waiter's wait), waiting for a micro-batch window, in the
+#: kernel or blocking evaluation, and the finalize-time residual.
+SEGMENT_NAMES = ("cache", "batch_assembly", "kernel_compute", "other")
 
 
 @dataclass(frozen=True)
@@ -291,6 +301,11 @@ class ServeApp:
         }
         self.requests_served = 0
         self._server: asyncio.base_events.Server | None = None
+        # Connection handler tasks, and the subset blocked waiting for a
+        # next request (the ones stop() may cancel without losing work).
+        self._connections: set[asyncio.Task] = set()
+        self._idle: set[asyncio.Task] = set()
+        self._closing = False
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -304,6 +319,7 @@ class ServeApp:
     async def start(self) -> None:
         if self._server is not None:
             raise ServeError("server is already running")
+        self._closing = False
         self.jobs.start()
         self._server = await asyncio.start_server(
             self._serve_connection, self.config.host, self.config.port
@@ -314,16 +330,29 @@ class ServeApp:
         )
 
     async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
+        # Idle keep-alive connections would wait for a request forever;
+        # busy ones finish their response and then close.
+        self._closing = True
+        for task in self._idle:
+            task.cancel()
         for batcher in self.batchers.values():
             await batcher.drain()
         await self.jobs.stop()
         self._emit_metrics_event()
         telemetry.emit("serve.stop", requests=self.requests_served)
-        self._detach_hub()
+        self._detach_hub()  # ends the SSE streams
+        if self._connections:
+            _, stuck = await asyncio.wait(
+                self._connections, timeout=SHUTDOWN_GRACE_SECONDS
+            )
+            for task in stuck:
+                task.cancel()
+            await asyncio.gather(*stuck, return_exceptions=True)
+        if server is not None:
+            await server.wait_closed()
 
     def _ensure_hub(self) -> TelemetryHub | None:
         """The SSE fan-out hub, attached to the *currently* active bus.
@@ -372,8 +401,11 @@ class ServeApp:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
+        task = asyncio.current_task()
+        self._connections.add(task)
         try:
-            while True:
+            while not self._closing:
+                self._idle.add(task)
                 try:
                     request = await read_request(
                         reader, max_body_bytes=self.config.max_body_bytes
@@ -384,19 +416,28 @@ class ServeApp:
                     writer.write(response.encode(keep_alive=False))
                     await writer.drain()
                     return
+                finally:
+                    self._idle.discard(task)
                 if request is None:
                     return
                 response = await self.handle(request)
                 if isinstance(response, StreamingResponse):
                     await self._stream_response(reader, writer, response)
                     return  # the stream consumed the connection
-                writer.write(response.encode(keep_alive=request.keep_alive))
+                keep_alive = request.keep_alive and not self._closing
+                writer.write(response.encode(keep_alive=keep_alive))
                 await writer.drain()
-                if not request.keep_alive:
+                if not keep_alive:
                     return
         except (ConnectionResetError, BrokenPipeError):
             return
+        except asyncio.CancelledError:
+            # stop() cancelled this connection.  End normally: the
+            # start_server done-callback calls task.exception(), which
+            # raises (and logs a traceback) for a cancelled handler task.
+            return
         finally:
+            self._connections.discard(task)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -457,21 +498,18 @@ class ServeApp:
     ) -> Response | StreamingResponse:
         """Route one request to a handler; exceptions become status codes.
 
-        Every request runs inside a :func:`~repro.serve.tracing.
-        request_scope`: a new trace (or the continuation of an inbound
-        W3C ``traceparent``) whose latency-attribution segments are
-        recorded into the ``serve.segment_seconds.*`` histograms and whose
-        trace id is returned as ``X-Trace-Id``.
+        Every request runs inside a :func:`~repro.obs.trace.trace_scope`:
+        a new trace (or the continuation of an inbound W3C
+        ``traceparent``) whose latency-attribution segments are recorded
+        into the ``serve.segment_seconds.*`` histograms and whose trace id
+        is returned as ``X-Trace-Id``.
         """
         started = time.perf_counter()
         context = TraceContext.from_traceparent(
             request.headers.get("traceparent")
-        )
-        if context is None:
-            context = TraceContext.new()
-        trace = RequestTrace(context=context, started=started)
+        ) or TraceContext.new()
         try:
-            with request_scope(trace):
+            with trace_scope(context):
                 response = await self._dispatch(request)
         except ServeError as error:
             response = Response.error(error.status, str(error))
@@ -484,7 +522,7 @@ class ServeApp:
         elapsed = time.perf_counter() - started
         self.requests_served += 1
         self.registry.histogram("serve.request_seconds").observe(elapsed)
-        for name, seconds in trace.finalize(elapsed).items():
+        for name, seconds in context.finalize(elapsed).items():
             self.registry.histogram(
                 f"serve.segment_seconds.{name}"
             ).observe(seconds)
@@ -641,7 +679,7 @@ class ServeApp:
     @staticmethod
     async def _timed_compute(compute: Any) -> Any:
         """Run an un-batched computation, attributing it kernel time."""
-        trace = current_request()
+        trace = current_trace()
         if trace is None:
             return await compute()
         started = time.perf_counter()
@@ -654,7 +692,7 @@ class ServeApp:
 
     @staticmethod
     def _with_trace_payload(record: dict[str, Any]) -> dict[str, Any]:
-        trace = current_request()
+        trace = current_trace()
         if trace is not None:
             record["trace"] = trace.payload()
         return record

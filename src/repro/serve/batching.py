@@ -17,7 +17,7 @@ a list of payloads and returning a list of results of the same length.
 Failures of ``lower`` propagate to every request in the batch and are not
 retried.
 
-When a request trace (:func:`repro.serve.tracing.current_request`) is in
+When a trace context (:func:`repro.obs.trace.current_trace`) is in
 scope at ``submit`` time it is captured alongside the payload — the flush
 runs from a ``call_later`` callback in a *different* context, so the
 ambient scope is gone by then — and at flush each waiter's trace is
@@ -33,7 +33,7 @@ import time
 from typing import Any, Callable, Sequence
 
 from repro.errors import ParameterError, ServeError
-from repro.serve.tracing import RequestTrace, current_request
+from repro.obs.trace import TraceContext, current_trace
 
 __all__ = ["DEFAULT_WINDOW_SECONDS", "DEFAULT_MAX_BATCH", "MicroBatcher"]
 
@@ -71,7 +71,7 @@ class MicroBatcher:
         self.window_seconds = float(window_seconds)
         self.max_batch = int(max_batch)
         self._pending: list[
-            tuple[Any, asyncio.Future, RequestTrace | None, float]
+            tuple[Any, asyncio.Future, TraceContext | None, float]
         ] = []
         self._flush_handle: asyncio.TimerHandle | None = None
         self.batches = 0
@@ -83,7 +83,7 @@ class MicroBatcher:
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
         self._pending.append(
-            (payload, future, current_request(), time.perf_counter())
+            (payload, future, current_trace(), time.perf_counter())
         )
         self.requests += 1
         if len(self._pending) >= self.max_batch:

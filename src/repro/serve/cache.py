@@ -22,7 +22,7 @@ The ``hits`` / ``misses`` / ``coalesced`` / ``evictions`` counters live
 directly on a :class:`~repro.obs.metrics.MetricsRegistry` (the app passes
 its own, so ``/metrics`` sees them with no copying); the attribute and
 :meth:`~SingleFlightCache.counters` views are kept for callers and tests.
-When a request trace is in scope the cache also attributes its share of
+When a trace context is in scope the cache also attributes its share of
 the request's latency: a hit's lookup, or a coalesced waiter's whole wait,
 lands in the ``cache`` segment, while a miss charges only the cache's own
 overhead (the computation it triggered accounts for itself).
@@ -39,7 +39,7 @@ from repro.errors import ParameterError
 from repro.obs.manifest import SCHEMA_VERSION, package_version, params_hash
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import TELEMETRY_SCHEMA_VERSION
-from repro.serve.tracing import current_request
+from repro.obs.trace import current_trace
 
 __all__ = [
     "CACHE_KEY_VERSIONS",
@@ -142,7 +142,7 @@ class SingleFlightCache:
         (this caller ran ``compute``), or ``"coalesced"`` (another caller
         was already computing the same key and the result was shared).
         """
-        trace = current_request()
+        trace = current_trace()
         started = time.perf_counter() if trace is not None else 0.0
         if key in self._entries:
             self._entries.move_to_end(key)
@@ -169,7 +169,7 @@ class SingleFlightCache:
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._inflight[key] = future
         self._inflight_owners[key] = (
-            trace.context.trace_id if trace is not None else None
+            trace.trace_id if trace is not None else None
         )
         try:
             compute_started = time.perf_counter()

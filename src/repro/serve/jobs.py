@@ -26,12 +26,12 @@ itself fan out over the warm process pool.
 
 **Tracing** — each job gets a :class:`~repro.obs.trace.TraceContext` that
 is a child of the submitting request's span (or a fresh root when none is
-in scope), and executes inside a :func:`repro.obs.telemetry.scope`
-carrying ``job_id`` / ``trace_id`` / ``span_id`` — contextvars survive the
-``asyncio.to_thread`` hop, so every ``progress`` and ``replications.*``
-event the campaign emits is stamped with the job that produced it.  That
-stamp is what lets ``GET /v1/jobs/<id>/events`` filter the firehose down
-to one job's stream.
+in scope) and carries the job's id.  Its lifecycle events are emitted, and
+the job executes, inside :func:`~repro.obs.trace.trace_scope` of that
+context — contextvars survive the ``asyncio.to_thread`` hop, so every
+``serve.job.*``, ``progress`` and ``replications.*`` event is stamped with
+the job's ``job_id`` / ``trace_id`` / ``span_id``.  That stamp is what lets
+``GET /v1/jobs/<id>/events`` filter the firehose down to one job's stream.
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ class Job:
     shard: int
     spec: Any
     workers: int
+    trace: TraceContext
     state: str = "queued"  # queued -> running -> done | failed
-    trace: TraceContext | None = None
     submitted_at: float = field(default_factory=time.monotonic)
     started_at: float | None = None
     finished_at: float | None = None
@@ -90,9 +90,8 @@ class Job:
             "spec_hash": self.spec_hash,
             "shard": self.shard,
             "state": self.state,
+            "trace_id": self.trace.trace_id,
         }
-        if self.trace is not None:
-            record["trace_id"] = self.trace.trace_id
         if self.started_at is not None:
             record["queue_wait_seconds"] = self.queue_wait_seconds
         if self.started_at is not None and self.finished_at is not None:
@@ -244,28 +243,32 @@ class JobQueue:
         self.admission.admit(tenant)
         self._sequence += 1
         shard = int(spec_hash, 16) % self.shards
+        job_id = f"job-{self._sequence:06d}-{spec_hash[:8]}"
         parent = current_trace()
         job = Job(
-            id=f"job-{self._sequence:06d}-{spec_hash[:8]}",
+            id=job_id,
             kind=kind,
             tenant=tenant,
             spec_hash=spec_hash,
             shard=shard,
             spec=spec,
             workers=self.workers_per_job,
-            trace=parent.child() if parent is not None else TraceContext.new(),
+            trace=(
+                parent.child(job_id=job_id)
+                if parent is not None
+                else TraceContext.new(job_id=job_id)
+            ),
         )
         self._jobs[job.id] = job
         self._queues[shard].put_nowait(job)
-        telemetry.emit(
-            "serve.job.start",
-            job_id=job.id,
-            job_kind=job.kind,
-            tenant=job.tenant,
-            spec_hash=job.spec_hash,
-            shard=job.shard,
-            trace_id=job.trace.trace_id,
-        )
+        with trace_scope(job.trace):
+            telemetry.emit(
+                "serve.job.start",
+                job_kind=job.kind,
+                tenant=job.tenant,
+                spec_hash=job.spec_hash,
+                shard=job.shard,
+            )
         return job
 
     def get(self, job_id: str) -> Job:
@@ -303,48 +306,39 @@ class JobQueue:
             job.queue_wait_seconds or 0.0
         )
         runner = _RUNNERS[job.kind]
-        trace = job.trace
-        stamp: dict[str, Any] = {"job_id": job.id}
-        if trace is not None:
-            stamp["trace_id"] = trace.trace_id
-            stamp["span_id"] = trace.span_id
-        try:
-            # The scope (and trace) ride the contextvars snapshot into the
-            # worker thread: every event the campaign emits is stamped
-            # with this job's identity and trace.
-            with telemetry.scope(**stamp):
-                with trace_scope(trace):
-                    telemetry.emit(
-                        "serve.job.running",
-                        job_kind=job.kind,
-                        tenant=job.tenant,
-                        shard=job.shard,
-                        queue_wait_seconds=job.queue_wait_seconds,
-                    )
-                    job.result = await asyncio.to_thread(
-                        runner, job.spec, job.workers
-                    )
-        except asyncio.CancelledError:
-            job.state = "failed"
-            job.error = "server shut down before the job finished"
-            raise
-        except Exception as error:
-            job.state = "failed"
-            job.error = f"{type(error).__name__}: {error}"
-            self.failed += 1
-        else:
-            job.state = "done"
-            self.completed += 1
-        finally:
-            job.finished_at = time.monotonic()
-            self.admission.release(job.tenant)
-            end_fields: dict[str, Any] = {
-                "job_id": job.id,
-                "job_kind": job.kind,
-                "tenant": job.tenant,
-                "state": job.state,
-                "elapsed_seconds": job.finished_at - job.started_at,
-            }
-            if trace is not None:
-                end_fields["trace_id"] = trace.trace_id
-            telemetry.emit("serve.job.end", **end_fields)
+        # The scope rides the contextvars snapshot into the worker thread:
+        # every event the campaign emits is stamped with this job's
+        # identity and trace.
+        with trace_scope(job.trace):
+            try:
+                telemetry.emit(
+                    "serve.job.running",
+                    job_kind=job.kind,
+                    tenant=job.tenant,
+                    shard=job.shard,
+                    queue_wait_seconds=job.queue_wait_seconds,
+                )
+                job.result = await asyncio.to_thread(
+                    runner, job.spec, job.workers
+                )
+            except asyncio.CancelledError:
+                job.state = "failed"
+                job.error = "server shut down before the job finished"
+                raise
+            except Exception as error:
+                job.state = "failed"
+                job.error = f"{type(error).__name__}: {error}"
+                self.failed += 1
+            else:
+                job.state = "done"
+                self.completed += 1
+            finally:
+                job.finished_at = time.monotonic()
+                self.admission.release(job.tenant)
+                telemetry.emit(
+                    "serve.job.end",
+                    job_kind=job.kind,
+                    tenant=job.tenant,
+                    state=job.state,
+                    elapsed_seconds=job.finished_at - job.started_at,
+                )

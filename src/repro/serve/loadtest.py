@@ -18,8 +18,8 @@ differ between runs.
 The report combines the client's view (per-status and per-kind counts,
 latency quantiles, throughput) with the server's own ``/v1/stats`` — and
 checks the **attribution coverage** invariant: summed across requests,
-the latency-attribution segments (queue-wait / cache / batch-assembly /
-kernel-compute / other) must equal the request-latency histogram's total,
+the latency-attribution segments (cache / batch-assembly / kernel-compute
+/ other) must equal the request-latency histogram's total,
 because every request's segments tile its wall time by construction.
 ``coverage`` near 1.0 is the loadtest's pass signal; CI gates on it.
 

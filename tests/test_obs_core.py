@@ -87,20 +87,6 @@ class TestTracer:
         assert [s.name for s in tracer.spans] == ["failing"]
         assert tracer.depth == 0
 
-    def test_wrap_decorator_times_each_call(self):
-        clock = FakeClock()
-        tracer = Tracer(clock=clock)
-
-        @tracer.wrap("work")
-        def work(x):
-            clock.advance(2.0)
-            return x * 2
-
-        assert work(3) == 6
-        assert work(4) == 8
-        assert tracer.total("work") == 4.0
-        assert work.__name__ == "work"
-
     def test_roots_in_start_order(self):
         clock = FakeClock()
         tracer = Tracer(clock=clock)
@@ -283,16 +269,6 @@ class TestRuntime:
                 obs.start("inner")
         finally:
             obs.stop()
-
-    def test_traced_decorator_records_only_when_enabled(self):
-        @obs.traced("timed.work")
-        def work():
-            return 42
-
-        assert work() == 42  # disabled: plain call
-        with obs.session("t") as session:
-            assert work() == 42
-        assert [s.name for s in session.tracer.spans] == ["timed.work"]
 
     def test_build_manifest_uses_annotations(self):
         with obs.session("study") as session:

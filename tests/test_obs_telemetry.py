@@ -23,7 +23,6 @@ from repro.obs.metrics import (
 from repro.obs.telemetry import (
     AggregatorSink,
     JsonlSink,
-    NullSink,
     PrometheusSink,
     ProgressTracker,
     TelemetryBus,
@@ -31,6 +30,7 @@ from repro.obs.telemetry import (
     render_event,
     render_openmetrics,
 )
+from repro.obs.trace import TraceContext, trace_scope
 
 
 @pytest.fixture(autouse=True)
@@ -292,10 +292,24 @@ class TestBusLifecycle:
         assert sink.counts == {"kept": 1}
         assert sink.last["kept"]["value"] == 7
 
-    def test_null_sink_swallows_everything(self):
-        sink = NullSink()
-        sink.emit({"kind": "anything"})
-        sink.close()
+
+class TestTraceStamping:
+    def test_events_carry_the_trace_context_in_scope(self):
+        bus = TelemetryBus([AggregatorSink()])
+        context = TraceContext.new()
+        job = context.child(job_id="job-000001-abcdef01")
+        bare = bus.emit("bare")
+        with trace_scope(context):
+            request = bus.emit("request")
+            with trace_scope(job):
+                inner = bus.emit("inner", trace_id="explicit")
+        assert not {"trace_id", "span_id", "job_id"} & set(bare)
+        assert request["trace_id"] == context.trace_id
+        assert request["span_id"] == context.span_id
+        assert "job_id" not in request
+        assert inner["job_id"] == "job-000001-abcdef01"
+        assert inner["span_id"] == job.span_id
+        assert inner["trace_id"] == "explicit"  # explicit fields win
 
 
 class TestProgressTracker:
