@@ -969,7 +969,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help=(
             "batched replication kernel: auto falls back to the "
-            "scalar engine when hazards/crews/scenario-2 need it, on "
+            "scalar engine when hazards/crews need it, on "
             "requires the kernel, off forces the scalar engine"
         ),
     )

@@ -323,24 +323,25 @@ def run_campaign(
     per-hazard injection counters and the peak repair-queue depth.
 
     ``batched="auto"`` (default) routes hazard-free, crew-unlimited
-    scenario-1 campaigns through the lean counter-based kernel
-    (:mod:`repro.sim.batched`) when no explicit ``executor`` is given —
-    same numbers, a cheaper event loop per replication.  ``"on"``
+    campaigns of either restart scenario through the lean counter-based
+    kernel (:mod:`repro.sim.batched`) when no explicit ``executor`` is
+    given — same numbers, a cheaper event loop per replication.  ``"on"``
     requires the kernel and raises
     :class:`~repro.errors.SimulationError` when the campaign needs scalar
-    features; ``"off"`` always uses the scalar engine.
+    features; ``"off"`` always uses the scalar engine.  On the kernel the
+    ``events`` stat (and the ``campaign.end`` telemetry total) counts live
+    transitions only; the scalar engine also counts the stale clocks it
+    pops.
     """
     validate_batched_mode(batched)
     controller, topology, hardware, software, scenario = materialize(spec)
     model = None
     if batched != "off":
-        reason = inexpressible_reason(
-            scenario, spec.hazards, spec.repair_crews
-        )
+        reason = inexpressible_reason(spec.hazards, spec.repair_crews)
         if reason is None and executor is not None:
             reason = "an explicit executor was supplied"
         if reason is None:
-            model, reason = plan_batched(
+            model = plan_batched(
                 controller, topology, hardware, software, scenario,
                 SimulationConfig(
                     seed=spec.seed,
@@ -351,7 +352,7 @@ def run_campaign(
                     vm_mtbf_hours=spec.vm_mtbf_hours,
                 ),
             )
-        if batched == "on" and model is None:
+        elif batched == "on":
             raise SimulationError(
                 f"batched='on' but the campaign cannot run on the "
                 f"batched kernel: {reason}"
@@ -380,7 +381,7 @@ def run_campaign(
         workers=workers,
     ):
         if model is not None:
-            # Lockstep kernel path: no hazards run, so per-replication
+            # Counter-kernel path: no hazards run, so per-replication
             # stats reduce to the live event count (the other counters
             # are structurally zero without hazards or crew limits).
             outcomes = [

@@ -43,12 +43,12 @@ recorded values, so the kernel simply never materializes them.  Event
 transitions only) — every measured quantity is unaffected.
 
 **Expressibility.**  The kernel handles the pure exponential fail/repair
-dynamics of :func:`repro.sim.controller_sim.build_simulator` under restart
-scenario 1 (supervisor NOT required): k-of-n quorum signals and
-dependency-closure masking over single-parent dependency chains.  Anything
-richer — scenario-2 supervisor restore hooks, hazard processes
-(maintenance windows, correlated bursts), limited repair crews, multi-parent
-dependencies — falls back to the scalar engine (see
+dynamics of :func:`repro.sim.controller_sim.build_simulator` under both
+restart scenarios: k-of-n quorum signals, dependency-closure masking over
+dependency DAGs (in scenario 2 a process depends on its VM *and* its
+supervisor), and the scenario-2 supervisor restore hook.  Anything richer
+— hazard processes (maintenance windows, correlated bursts) or limited
+repair crews — falls back to the scalar engine (see
 :func:`inexpressible_reason`).
 """
 
@@ -109,21 +109,12 @@ def validate_batched_mode(batched: str) -> str:
     return batched
 
 
-def inexpressible_reason(
-    scenario: RestartScenario,
-    hazards: tuple = (),
-    repair_crews=None,
-) -> str | None:
+def inexpressible_reason(hazards: tuple = (), repair_crews=None) -> str | None:
     """Why a workload cannot run on the batched kernel (``None`` if it can).
 
-    These are the *static* checks; :func:`plan_batched` additionally
-    verifies the dependency graph is a forest of single-parent chains.
+    Both restart scenarios and any dependency DAG are expressible; only
+    scheduled hazard actions and limited repair crews are not.
     """
-    if scenario is not RestartScenario.NOT_REQUIRED:
-        return (
-            "restart scenario 2 (supervisor required) uses on_repair "
-            "restore hooks the kernel does not model"
-        )
     if hazards:
         return f"{len(hazards)} hazard spec(s) attached (scheduled actions)"
     if repair_crews is not None:
@@ -150,10 +141,13 @@ class BatchedModel:
         "auto_restart",
         "sup",
         "auto_mean",
-        # Masking: single parent (-1 for roots) and [self] + dependents
-        # closure in the engine's canonical (parent-before-child) order.
-        "parent",
+        # Masking: every component's parents and [self] + dependents
+        # closure in topological (parents-before-children) order.
+        "parents",
         "cand",
+        # Scenario 2: the processes each supervisor's restart restores, in
+        # registration order (empty lists in scenario 1).
+        "supervised",
         # Counter layout: the quorum instances each component is a member
         # of, each instance's unit, and each unit's quorum / plane (0 cp,
         # 1 sdp, 2 ldp) / instance count.
@@ -174,29 +168,20 @@ def plan_batched(
     software: SoftwareParams,
     scenario: RestartScenario,
     config: SimulationConfig,
-) -> tuple[BatchedModel | None, str | None]:
-    """``(model, None)`` when the workload is expressible, else ``(None, why)``.
+) -> BatchedModel:
+    """The kernel's flat-list model of one controller workload.
 
-    Builds a probe simulator through the same constructor the scalar path
+    Every :func:`build_simulator` workload is expressible; hazards and
+    repair crews, which are attached after construction, are screened by
+    :func:`inexpressible_reason`.  Builds a probe simulator through the same constructor the scalar path
     uses (cheap — no events run), so component registration order, rates,
     repair means, and dependency closures are definitionally identical
     between the two engines.
     """
-    reason = inexpressible_reason(scenario)
-    if reason is not None:
-        return None, reason
     probe = build_simulator(
         spec, topology, hardware, software, scenario, config
     )
     components = list(probe.components.values())
-    for component in components:
-        if len(component.dependencies) > 1:
-            return None, (
-                f"component {component.key!r} has "
-                f"{len(component.dependencies)} dependencies "
-                f"(kernel masking assumes single-parent chains)"
-            )
-
     model = BatchedModel()
     keys = [component.key for component in components]
     index = {key: i for i, key in enumerate(keys)}
@@ -224,14 +209,23 @@ def plan_batched(
         for component in components
     ]
     model.auto_mean = software.auto_restart_hours
-    model.parent = [
-        index[component.dependencies[0]] if component.dependencies else -1
+    model.parents = [
+        tuple(index[key] for key in component.dependencies)
         for component in components
     ]
+    # build_simulator registers every dependency before its dependents, so
+    # registration order is topological: sorting a closure by index puts
+    # all of a component's parents ahead of it (the engine's DFS closure
+    # does not — it lists a VM's processes before their supervisor).
     model.cand = [
-        [i] + [index[key] for key in probe._closure[component.key]]
+        [i] + sorted(index[key] for key in probe._closure[component.key])
         for i, component in enumerate(components)
     ]
+    model.supervised = [[] for _ in range(n)]
+    if scenario is RestartScenario.REQUIRED:
+        for i, component in enumerate(components):
+            if component.supervisor_key is not None:
+                model.supervised[index[component.supervisor_key]].append(i)
 
     # Counter layout from the shared declarative plan.  The LDP AND-chain
     # rides along as one 1-instance unit with quorum 1.
@@ -295,7 +289,7 @@ def plan_batched(
                     best = d
             model.depth[s][origin] = best
 
-    return model, None
+    return model
 
 
 class QuorumCounters:
@@ -372,7 +366,8 @@ def _run_replication(
     auto_restart = model.auto_restart
     sup = model.sup
     auto_mean = model.auto_mean
-    parent = model.parent
+    parents = model.parents
+    supervised = model.supervised
     cand = model.cand
     member_of = model.member_of
     heappush = heapq.heappush
@@ -399,6 +394,7 @@ def _run_replication(
 
     intr = [True] * n
     eff = [True] * n
+    eff_at = eff.__getitem__
     counters = QuorumCounters(model)
     down = counters.down
     up_flip = counters.up
@@ -499,24 +495,40 @@ def _run_replication(
             # failure clock — memorylessness makes the resample exact.
             c = slot - n
             intr[c] = True
-            p = parent[c]
-            if p < 0 or eff[p]:
+            up_now = all(map(eff_at, parents[c]))
+            for p in supervised[c]:
+                if not intr[p]:
+                    # Scenario-2 restore: the restarted supervisor brings
+                    # its repairing process up and cancels the process's
+                    # repair.  The scalar engine draws the process a
+                    # failure clock here when it is effectively up, which
+                    # the subtree pass below cancels and redraws — so
+                    # the first variate is consumed and discarded.
+                    intr[p] = True
+                    version[n + p] += 1
+                    if up_now and all(eff[q] or q == c for q in parents[p]):
+                        fail_at[p] += 1
+            if up_now:
                 for d in cand[c]:
-                    if d != c and not (intr[d] and eff[parent[d]]):
+                    if d != c and not (
+                        intr[d] and all(map(eff_at, parents[d]))
+                    ):
                         continue
                     eff[d] = True
                     if member_of[d] and up_flip(d):
                         moved = True
                     scale = fail_scale[d]
                     if scale:
+                        # A restore's discard may have stepped one past
+                        # the end of the block.
                         k = fail_at[d]
-                        if k == BLOCK:
+                        if k >= BLOCK:
                             fail_bufs[d] = (
                                 fail_gens[d]
                                 .standard_exponential(BLOCK)
                                 .tolist()
                             )
-                            k = 0
+                            k -= BLOCK
                         fail_at[d] = k + 1
                         heappush(
                             heap,

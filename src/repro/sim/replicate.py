@@ -188,14 +188,14 @@ def run_replications(
     merged in index order, so the result is independent of scheduling.
 
     ``batched`` selects the engine: ``"auto"`` (default) routes through the
-    lean counter-based kernel (:mod:`repro.sim.batched`) whenever
-    the workload is expressible and no explicit ``executor`` was supplied
-    — results are bit-identical to the scalar engine, so the knob never
-    changes numbers, only speed.  ``"on"`` requires the kernel (raises
-    :class:`~repro.errors.SimulationError` if the workload cannot run on
-    it), ``"off"`` forces the scalar per-replication engine.  The kernel
-    runs every replication in one process, so ``workers`` is ignored
-    while it is engaged.
+    lean counter-based kernel (:mod:`repro.sim.batched`) — every option,
+    either restart scenario — unless an explicit ``executor`` was
+    supplied; results are bit-identical to the scalar engine, so the knob
+    never changes numbers, only speed.  ``"on"`` requires the kernel
+    (raises :class:`~repro.errors.SimulationError` alongside an explicit
+    ``executor``), ``"off"`` forces the scalar per-replication engine.
+    The kernel runs every replication in one process, so ``workers`` is
+    ignored while it is engaged.
     """
     validate_batched_mode(batched)
     if replications < 1:
@@ -205,16 +205,14 @@ def run_replications(
     config = config or SimulationConfig()
     model = None
     if batched != "off":
-        if executor is not None:
-            reason = "an explicit executor was supplied"
-        else:
-            model, reason = plan_batched(
+        if executor is None:
+            model = plan_batched(
                 spec, topology, hardware, software, scenario, config
             )
-        if batched == "on" and model is None:
+        elif batched == "on":
             raise SimulationError(
-                f"batched='on' but the workload cannot run on the "
-                f"batched kernel: {reason}"
+                "batched='on' but the workload cannot run on the batched "
+                "kernel: an explicit executor was supplied"
             )
     seeds = derive_seeds(config.seed, replications)
     obs.note_solver("simulation")

@@ -4,12 +4,14 @@ Run from the repository root::
 
     PYTHONPATH=src python -m tests.regen_batched_fixtures
 
-The fixture pins the *exact* per-replication outputs (availabilities at
+Each fixture pins the *exact* per-replication outputs (availabilities at
 full float precision, outage episode statistics, batch-means intervals,
 and the complete downtime-attribution ledgers) of one expressible campaign
-run on the **scalar** engine.  ``tests/test_sim_batched.py`` replays the
-same campaign on both engines (``batched="off"`` and ``batched="on"``) and
-requires bit-identical equality with the fixture (``==``, no tolerance):
+run on the **scalar** engine: a scenario-1 campaign and a scenario-2
+campaign whose supervisor restarts restore hundreds of repairing
+processes.  ``tests/test_sim_batched.py`` replays each campaign on both
+engines (``batched="off"`` and ``batched="on"``) and requires
+bit-identical equality with its fixture (``==``, no tolerance):
 the batched kernel must reproduce the scalar engine's event
 stream draw for draw.  Regenerate (and commit the diff) only when a change
 is *supposed* to alter the event stream, and say why in the commit
@@ -25,6 +27,7 @@ from repro.faults import CampaignSpec, run_campaign
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 FIXTURE_NAME = "sim_batched_fixtures.json"
+FIXTURE_2S_NAME = "sim_batched_2s_fixtures.json"
 
 #: The pinned expressible campaign: scenario 1, no hazards, unlimited
 #: crews — every feature the batched kernel models, long enough that each
@@ -37,6 +40,28 @@ CAMPAIGN_SPEC = CampaignSpec(
     seed=23,
     batches=5,
 )
+
+#: The pinned scenario-2 campaign: processes depend on their VM *and*
+#: their supervisor, and a supervisor's manual restart restores its
+#: repairing processes.  Stressed processes (MTBF 20 h, A = 0.9) make
+#: those restores frequent — over 500 across the replications, one of
+#: them under a down VM — and every signal sees outages in every
+#: replication.
+CAMPAIGN_SPEC_2S = CampaignSpec(
+    option="2S",
+    horizon_hours=1_000.0,
+    replications=4,
+    seed=29,
+    batches=5,
+    a_process=0.9,
+    process_mtbf_hours=20.0,
+)
+
+#: Fixture file name -> the campaign it pins.
+FIXTURES = {
+    FIXTURE_NAME: CAMPAIGN_SPEC,
+    FIXTURE_2S_NAME: CAMPAIGN_SPEC_2S,
+}
 
 
 def result_record(result) -> dict:
@@ -69,20 +94,22 @@ def result_record(result) -> dict:
     }
 
 
-def run_fixture_campaign(batched: str = "off"):
-    """The pinned campaign workload (shared with the equivalence tests)."""
-    return run_campaign(CAMPAIGN_SPEC, batched=batched)
+def run_fixture_campaign(
+    batched: str = "off", spec: CampaignSpec = CAMPAIGN_SPEC
+):
+    """A pinned campaign workload (shared with the equivalence tests)."""
+    return run_campaign(spec, batched=batched)
 
 
-def build_fixture() -> dict:
-    campaign = run_fixture_campaign(batched="off")
+def build_fixture(spec: CampaignSpec = CAMPAIGN_SPEC) -> dict:
+    campaign = run_fixture_campaign(batched="off", spec=spec)
     return {
         "description": (
             "Bit-exact scalar-engine outputs of the pinned expressible "
             "campaign; test_sim_batched requires == equality from both "
             "the scalar and the struct-of-arrays lockstep engines"
         ),
-        "spec": CAMPAIGN_SPEC.to_dict(),
+        "spec": spec.to_dict(),
         "seeds": list(campaign.replications.seeds),
         "results": [
             result_record(r) for r in campaign.replications.results
@@ -91,14 +118,17 @@ def build_fixture() -> dict:
     }
 
 
-def regenerate(directory: Path = GOLDEN_DIR) -> Path:
+def regenerate(directory: Path = GOLDEN_DIR) -> list[Path]:
     directory.mkdir(parents=True, exist_ok=True)
-    target = directory / FIXTURE_NAME
-    target.write_text(
-        json.dumps(build_fixture(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    return target
+    targets = []
+    for name, spec in FIXTURES.items():
+        target = directory / name
+        target.write_text(
+            json.dumps(build_fixture(spec), indent=2, sort_keys=True) + "\n",
+            encoding="utf-8",
+        )
+        targets.append(target)
+    return targets
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -109,10 +139,11 @@ def main(argv: list[str] | None = None) -> int:
         "--out",
         type=Path,
         default=GOLDEN_DIR,
-        help="directory to write the fixture into (default: tests/golden)",
+        help="directory to write the fixtures into (default: tests/golden)",
     )
     args = parser.parse_args(argv)
-    print(f"wrote {regenerate(args.out)}")
+    for target in regenerate(args.out):
+        print(f"wrote {target}")
     return 0
 
 

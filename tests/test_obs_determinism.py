@@ -115,9 +115,11 @@ class TestTelemetryRoundTrip:
     run (a) without telemetry, (b) with a JSONL sink, and (c) with the
     sink plus 4 pool workers yields ``==``-identical availabilities, and
     the recorded stream round-trips through :func:`telemetry.read_events`.
+    The scalar engine (``batched="off"``) drives the inline and pooled
+    dispatch paths; a last run under the sink checks the batched kernel.
     """
 
-    def _run(self, spec, small, hardware, software, workers):
+    def _run(self, spec, small, hardware, software, workers, batched="off"):
         return run_replications(
             spec, small, hardware, software, S2,
             config=SimulationConfig(
@@ -130,6 +132,7 @@ class TestTelemetryRoundTrip:
             ),
             replications=4,
             workers=workers,
+            batched=batched,
         )
 
     def test_sink_on_off_and_workers_bit_identical(
@@ -147,11 +150,18 @@ class TestTelemetryRoundTrip:
             recorded_parallel = self._run(
                 spec, small, stressed_hardware, stressed_software, workers=4
             )
+            recorded_kernel = self._run(
+                spec, small, stressed_hardware, stressed_software, workers=1,
+                batched="on",
+            )
         finally:
             telemetry.stop()
         for name in ("cp", "sdp", "ldp", "dp"):
             assert recorded.availability(name) == baseline.availability(name)
             assert recorded_parallel.availability(name) == (
+                baseline.availability(name)
+            )
+            assert recorded_kernel.availability(name) == (
                 baseline.availability(name)
             )
 
